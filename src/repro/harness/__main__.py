@@ -130,7 +130,7 @@ def _optimize(names) -> str:
 
 
 def _frames(names, options) -> str:
-    engine = options.get("engine", "sequential")
+    engine = options.get("engine", "auto")
     return frames_report(
         {name: cached_frames(name, slice_engine=engine) for name in names}
     )

@@ -145,7 +145,7 @@ class FrameExperimentResult:
 
 
 def run_frames(
-    bench: Benchmark, slice_engine: str = "sequential"
+    bench: Benchmark, slice_engine: str = "auto"
 ) -> FrameExperimentResult:
     """Run a multi-frame benchmark and profile each frame epoch.
 
@@ -168,7 +168,7 @@ def run_frames(
 
 
 @lru_cache(maxsize=None)
-def cached_frames(name: str, slice_engine: str = "sequential") -> FrameExperimentResult:
+def cached_frames(name: str, slice_engine: str = "auto") -> FrameExperimentResult:
     """Run a registered multi-frame benchmark once per process."""
     from ..workloads import benchmark
 

@@ -36,7 +36,7 @@ def run_service_smoke(
     names: Sequence[str],
     golden_path: Optional[str] = None,
     rounds: int = 2,
-    engine: str = "sequential",
+    engine: str = "auto",
     workers: int = 2,
 ) -> str:
     """Run the smoke scenario and return its report (asserts on failure)."""

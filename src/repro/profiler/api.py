@@ -36,18 +36,58 @@ from .stats import SliceStatistics, compute_statistics
 if TYPE_CHECKING:
     from .incremental import SliceCheckpoint
 
-#: The slicing-engine registry: every implementation ``Profiler.slice``
-#: accepts.  CLIs and the service validate engine names against this one
-#: tuple so a new engine lands everywhere at once.
-ENGINES = ("sequential", "parallel", "vectorized", "incremental")
+#: The slicing-engine registry: every engine name ``Profiler.slice``
+#: accepts, ``"auto"`` (the default, see :func:`resolve_engine`) first.
+#: CLIs and the service validate engine names against this one tuple so a
+#: new engine lands everywhere at once.
+ENGINES = ("auto", "sequential", "parallel", "vectorized", "incremental")
+
+
+def resolve_engine(
+    store,
+    options: SlicerOptions = DEFAULT_OPTIONS,
+    sample_every: Optional[int] = None,
+    checkpoint: Optional["SliceCheckpoint"] = None,
+) -> str:
+    """The engine ``engine="auto"`` runs for this trace and request.
+
+    * ``"incremental"`` when the caller passes a checkpoint: it asked for
+      that state to be used and extended;
+    * ``"vectorized"`` when the trace is a columnar trace carrying a
+      stored slice index, the options are the defaults and no timeline is
+      sampled — exactly the requests whose result matches the sequential
+      engine's in every field, answered from the stored index without a
+      forward pass or a single record object;
+    * ``"sequential"``, the reference engine, otherwise.
+    """
+    if checkpoint is not None:
+        return "incremental"
+    # The attribute test comes first so a row store never imports the
+    # numpy-backed columnar module.
+    if (
+        getattr(store, "index", None) is not None
+        and options == DEFAULT_OPTIONS
+        and not sample_every
+    ):
+        from ..trace.columnar import ColumnarTrace
+
+        if isinstance(store, ColumnarTrace):
+            return "vectorized"
+    return "sequential"
 
 
 class Profiler:
-    """Dynamic backward-slicing profiler over one instruction trace."""
+    """Dynamic backward-slicing profiler over one instruction trace.
 
-    def __init__(self, store: TraceStore) -> None:
+    ``cdi`` seeds the forward-pass result (CFGs + postdominators + CDG)
+    when the caller already holds it for this trace.
+    """
+
+    def __init__(
+        self, store: TraceStore, cdi: Optional[ControlDependenceIndex] = None
+    ) -> None:
         self._store = store
-        self._cdi: Optional[ControlDependenceIndex] = None
+        self._cdi = cdi
         self._checkpoint: Optional["SliceCheckpoint"] = None
 
     def slice_checkpoint(self) -> "SliceCheckpoint":
@@ -80,26 +120,31 @@ class Profiler:
         sample_every: Optional[int] = None,
         main_tid: Optional[int] = None,
         options: SlicerOptions = DEFAULT_OPTIONS,
-        engine: str = "sequential",
+        engine: str = "auto",
         workers: Optional[int] = None,
         epoch_size: Optional[int] = None,
         checkpoint: Optional["SliceCheckpoint"] = None,
     ) -> SliceResult:
         """Run the backward pass for ``criteria``.
 
-        ``engine`` selects the implementation: ``"sequential"`` (default,
-        single in-process pass), ``"parallel"`` (epoch-sharded fixpoint
-        across ``workers`` processes; see ``docs/parallel-slicing.md``),
+        ``engine`` selects the implementation: ``"auto"`` (default; picks
+        one of the others from the trace and the request, see
+        :func:`resolve_engine`), ``"sequential"`` (the reference: a single
+        in-process pass), ``"parallel"`` (epoch-sharded fixpoint across
+        ``workers`` processes; see ``docs/parallel-slicing.md``),
         ``"vectorized"`` (array-join closure over a columnar trace;
         converts row stores on entry), or ``"incremental"``
         (frame-region memoization against a checkpoint; see
         ``docs/incremental-slicing.md``).  All produce identical
-        sliced-record sets.  ``workers`` defaults to
+        sliced-record sets, and every engine names itself in
+        ``result.engine_stats["engine"]``.  ``workers`` defaults to
         ``REPRO_SLICER_WORKERS`` or the CPU allowance; ``epoch_size``
         overrides the automatic trace split (parallel engine only);
         ``checkpoint`` overrides the profiler-lifetime checkpoint
         (incremental engine only).
         """
+        if engine == "auto":
+            engine = resolve_engine(self._store, options, sample_every, checkpoint)
         if engine == "sequential":
             slicer = BackwardSlicer(
                 self._store,
@@ -157,7 +202,7 @@ class Profiler:
         )
 
     def pixel_slice(
-        self, sample_every: Optional[int] = None, engine: str = "sequential", **kwargs
+        self, sample_every: Optional[int] = None, engine: str = "auto", **kwargs
     ) -> SliceResult:
         """Slice on the pixels-buffer criteria (the paper's headline run)."""
         return self.slice(
@@ -168,7 +213,7 @@ class Profiler:
         )
 
     def syscall_slice(
-        self, sample_every: Optional[int] = None, engine: str = "sequential", **kwargs
+        self, sample_every: Optional[int] = None, engine: str = "auto", **kwargs
     ) -> SliceResult:
         """Slice on the syscall criteria."""
         return self.slice(
@@ -179,7 +224,7 @@ class Profiler:
         )
 
     def combined_slice(
-        self, sample_every: Optional[int] = None, engine: str = "sequential", **kwargs
+        self, sample_every: Optional[int] = None, engine: str = "auto", **kwargs
     ) -> SliceResult:
         """Slice on pixels + syscalls together."""
         return self.slice(
@@ -242,7 +287,7 @@ def job_criteria(
 def run_slice_job(
     store: TraceStore,
     criteria: str = "pixels",
-    engine: str = "sequential",
+    engine: str = "auto",
     workers: Optional[int] = None,
     frame: Optional[int] = None,
     sample_every: Optional[int] = None,

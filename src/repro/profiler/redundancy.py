@@ -152,12 +152,16 @@ def _stability_pass(store: TraceStore) -> Tuple[List[int], bytearray]:
 def analyze_frames(
     store: TraceStore,
     sample_every: Optional[int] = None,
-    engine: str = "sequential",
+    engine: str = "auto",
 ) -> RedundancyReport:
     """Per-frame pixel slices plus redundant/fresh classification.
 
-    ``engine="incremental"`` turns the F independent full slices into one
-    streaming pass: every per-frame query extends the profiler's shared
+    ``engine`` names the engine of every per-frame slice; the default
+    ``"auto"`` resolves per slice as :meth:`Profiler.slice` does (a
+    columnar trace with a stored index slices vectorized, a row store
+    sequential).  ``engine="incremental"`` turns the F independent full
+    slices into one streaming pass: every per-frame query extends the
+    profiler's shared
     checkpoint, so each seedless region's backward run is paid once and
     later frames reuse it (same flags, byte for byte — the split is
     engine-invariant).  ``sample_every`` is ignored for per-frame slices

@@ -94,8 +94,9 @@ class SliceResult:
     #: When tracking is on, every sliced record has exactly one entry, so
     #: the per-kind counts sum to the slice size.
     reasons: Optional[Dict[int, Tuple[str, int]]] = None
-    #: engine diagnostics ("engine", and for the parallel engine: workers,
-    #: epochs, rounds, epoch_runs, pass_throughs); empty for sequential runs.
+    #: engine diagnostics: "engine" (the engine that ran, whatever name the
+    #: caller passed) plus engine-specific counters (for the parallel
+    #: engine: workers, epochs, rounds, epoch_runs, pass_throughs).
     engine_stats: Dict[str, object] = field(default_factory=dict)
 
     def __contains__(self, index: int) -> bool:
@@ -152,7 +153,11 @@ class BackwardSlicer:
         records = store.records()
         n = len(records)
         flags = bytearray(n)
-        result = SliceResult(criteria_name=self._criteria.name, flags=flags)
+        result = SliceResult(
+            criteria_name=self._criteria.name,
+            flags=flags,
+            engine_stats={"engine": "sequential"},
+        )
 
         crit_by_index = self._criteria.by_index()
         include_syscalls = self._criteria.include_syscalls
@@ -313,42 +318,24 @@ def slice_trace(
     criteria: SlicingCriteria,
     cdi: Optional[ControlDependenceIndex] = None,
     sample_every: Optional[int] = None,
-    engine: str = "sequential",
+    engine: str = "auto",
     workers: Optional[int] = None,
     epoch_size: Optional[int] = None,
     checkpoint=None,
 ) -> SliceResult:
-    """One-call convenience: forward pass (if needed) + backward pass."""
-    if cdi is None:
-        from .cdg import build_index
+    """One-call convenience: forward pass (if needed) + backward pass.
 
-        cdi = build_index(store.forward())
-    if engine == "parallel":
-        from .parallel import ParallelSlicer
+    A thin call into :meth:`repro.profiler.api.Profiler.slice`, with
+    ``cdi`` (when given) as the profiler's forward-pass result, so engine
+    names, ``"auto"`` and engine validation live in one place.
+    """
+    from .api import Profiler
 
-        return ParallelSlicer(
-            store,
-            cdi,
-            criteria,
-            workers=workers,
-            epoch_size=epoch_size,
-            sample_every=sample_every,
-        ).run()
-    if engine == "vectorized":
-        from .vectorized import VectorizedSlicer
-
-        return VectorizedSlicer(
-            store, cdi, criteria, sample_every=sample_every
-        ).run()
-    if engine == "incremental":
-        from .incremental import IncrementalSlicer
-
-        return IncrementalSlicer(
-            store, cdi, criteria, checkpoint=checkpoint, sample_every=sample_every
-        ).run()
-    if engine != "sequential":
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'sequential', 'parallel', "
-            f"'vectorized', or 'incremental'"
-        )
-    return BackwardSlicer(store, cdi, criteria, sample_every=sample_every).run()
+    return Profiler(store, cdi=cdi).slice(
+        criteria,
+        sample_every=sample_every,
+        engine=engine,
+        workers=workers,
+        epoch_size=epoch_size,
+        checkpoint=checkpoint,
+    )

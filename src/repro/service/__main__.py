@@ -6,7 +6,7 @@ Usage::
         [--tcp=HOST:PORT] [--auth-token=SECRET] [--workers=2] [--queue-size=16] \\
         [--job-timeout=300] [--cache-max-bytes=N] [--cache-ttl=SECONDS]
     python -m repro.service submit --socket=/tmp/repro.sock --workload=wiki_article \\
-        [--criteria=pixels] [--engine=sequential] [--slicer-workers=4] [--frame=N] [--no-wait]
+        [--criteria=pixels] [--engine=auto] [--slicer-workers=4] [--frame=N] [--no-wait]
     python -m repro.service submit --socket=/tmp/repro.sock --trace=/tmp/amazon.ucwa ...
     python -m repro.service submit --socket=tcp:HOST:PORT --auth-token=SECRET \\
         --upload=/tmp/amazon.ucwa [--stream] ...
@@ -20,7 +20,10 @@ Usage::
 ``--socket`` accepts a Unix path, ``unix:PATH``, or ``tcp:HOST:PORT``
 (TCP servers with a shared secret also need ``--auth-token``).
 ``submit`` waits for the result by default and prints a one-line summary
-plus the cache disposition; ``--no-wait`` returns the job id immediately
+plus the cache disposition and the engine that ran: ``--engine``
+defaults to ``auto`` (``vectorized`` on a UCWA3 trace carrying its
+stored slice index, ``sequential`` otherwise; ``incremental`` must be
+asked for).  ``--no-wait`` returns the job id immediately
 (poll with ``status``).  ``--upload`` streams a local trace file to the
 server in bounded chunks and submits it by content address; with
 ``--stream`` (incremental engine) every frame is sliced as its epoch
@@ -235,7 +238,7 @@ def _submit(argv: List[str]) -> int:
             trace_path=options.pop("trace", None),
             trace_ref=options.pop("trace-ref", None),
             criteria=options.pop("criteria", "pixels"),
-            engine=options.pop("engine", "sequential"),
+            engine=options.pop("engine", "auto"),
             workers=_take_int(options, "slicer-workers"),
             frame=_take_int(options, "frame"),
             timeout_s=_take_float(options, "timeout"),

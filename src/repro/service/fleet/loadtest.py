@@ -57,7 +57,7 @@ class LoadtestConfig:
     records_per_frame: int = 250
     seed: int = 7
     criteria: Tuple[str, ...] = ("pixels", "syscalls", "pixels+syscalls")
-    engine: str = "sequential"
+    engine: str = "auto"
     workers: int = 2  # per shard
     queue_size: int = 16  # per shard (small on purpose: exercises busy)
     auth_token: str = "loadtest-shared-secret"

@@ -73,7 +73,7 @@ class FleetClient:
         self,
         digest: str,
         criteria: str = "pixels",
-        engine: str = "sequential",
+        engine: str = "auto",
         frame: Optional[int] = None,
     ) -> str:
         return cache_key(digest, criteria, engine, frame)
@@ -82,7 +82,7 @@ class FleetClient:
         self,
         digest: str,
         criteria: str = "pixels",
-        engine: str = "sequential",
+        engine: str = "auto",
         frame: Optional[int] = None,
     ) -> str:
         """The shard owning one (digest × criteria × engine × frame) key."""
@@ -106,7 +106,7 @@ class FleetClient:
         self,
         path: Union[str, Path],
         criteria: str = "pixels",
-        engine: str = "sequential",
+        engine: str = "auto",
         frame: Optional[int] = None,
         wait: bool = True,
         timeout_s: Optional[float] = None,
@@ -139,7 +139,7 @@ class FleetClient:
         self,
         workload: str,
         criteria: str = "pixels",
-        engine: str = "sequential",
+        engine: str = "auto",
         frame: Optional[int] = None,
         wait: bool = True,
         timeout_s: Optional[float] = None,

@@ -51,7 +51,7 @@ class JobSpec:
     #: uploads bytes once per shard, then submits by digest alone
     trace_ref: Optional[str] = None
     criteria: str = "pixels"
-    engine: str = "sequential"
+    engine: str = "auto"
     workers: Optional[int] = None
     frame: Optional[int] = None
     timeout_s: Optional[float] = None
@@ -200,7 +200,8 @@ def execute_job(spec: JobSpec, attempt: int = 0) -> Dict[str, Any]:
     by the server), a sha256 over the slice flags (so two runs can be
     compared for byte-identity without shipping the flags), per-thread
     statistics matching :func:`repro.profiler.stats.compute_statistics`,
-    the engine diagnostics, and per-stage timings.
+    the engine that ran (``"auto"`` resolved to its pick) and its
+    diagnostics, and per-stage timings.
     """
     t0 = time.perf_counter()
     store = resolve_trace(spec)
@@ -249,7 +250,7 @@ def execute_job(spec: JobSpec, attempt: int = 0) -> Dict[str, Any]:
         engine_stats["checkpoint"] = checkpoint_state
     return {
         "criteria": result.criteria_name,
-        "engine": spec.engine,
+        "engine": result.engine_stats["engine"],
         "trace_digest": digest,
         "total": stats.total,
         "slice_size": stats.in_slice,

@@ -112,6 +112,28 @@ class Job:
         return payload
 
 
+#: how long a hang-up waits for the peer to close its side
+HANG_UP_GRACE_S = 1.0
+
+
+def _hang_up(conn: socket.socket) -> None:
+    """End a connection so the peer reads our last frame, then EOF.
+
+    Closing a socket that still holds unread bytes (a frame the peer sent
+    after the one just answered) resets the connection, and the peer may
+    then see the reset instead of that answer and a clean end-of-stream.
+    Half-closing first and discarding input until the peer closes (or
+    :data:`HANG_UP_GRACE_S` passes) delivers both.
+    """
+    try:
+        conn.shutdown(socket.SHUT_WR)
+        conn.settimeout(HANG_UP_GRACE_S)
+        while conn.recv(1 << 16):
+            pass
+    except OSError:
+        pass  # peer already gone or silent past the grace period
+
+
 class _ConnState:
     """Per-connection protocol state: auth progress + in-flight upload."""
 
@@ -331,6 +353,7 @@ class ProfilingServer:
                 if response is not None:
                     protocol.send_message(conn, response)
                 if state.close:
+                    _hang_up(conn)
                     return
         except OSError:
             pass  # client went away; cleanup below

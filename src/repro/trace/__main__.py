@@ -10,11 +10,12 @@ Usage::
     python -m repro.trace slice /tmp/amazon.ucwa
     python -m repro.trace slice /tmp/amazon.ucwa --criteria=syscalls
     python -m repro.trace slice /tmp/amazon.ucwa --engine=parallel --workers=4
-    python -m repro.trace slice /tmp/amazon3.ucwa --engine=vectorized
+    python -m repro.trace slice /tmp/amazon3.ucwa --engine=sequential
 
-``collect`` runs a registered benchmark and saves its trace
-(``--format=v3`` writes the columnar UCWA3 layout with a precomputed
-slice index; the default stays the row-oriented UCWA2); ``info``
+``collect`` runs a registered benchmark with the harness recipe (the
+trace ``run_benchmark`` and a service workload job see) and saves its
+trace (``--format=v3`` writes the columnar UCWA3 layout with a
+precomputed slice index; the default stays the row-oriented UCWA2); ``info``
 prints per-thread and symbol statistics; ``lint`` checks the sanitizer's
 well-formedness invariants (CALL/RET balance, use-before-def, lock
 discipline, marker clock, frame-epoch monotonicity, epoch tiling — see
@@ -31,9 +32,13 @@ docs/trace-format.md); ``slice`` runs a backward slice on a
 stored trace (demonstrating the collect-once, profile-many workflow the
 paper uses).  ``--criteria`` picks the criteria family — ``pixels``
 (default), ``syscalls``, or ``pixels+syscalls`` (paper Section V);
-``--engine=parallel`` selects the epoch-sharded engine (see
+``--engine`` defaults to ``auto``, which runs the array-join
+``vectorized`` engine on a UCWA3 trace carrying its stored slice index
+and the reference ``sequential`` engine otherwise; the ``engine:`` line
+names the engine that ran.  ``--engine=sequential`` forces the
+reference; ``--engine=parallel`` selects the epoch-sharded engine (see
 docs/parallel-slicing.md); ``--engine=vectorized`` the array-join
-engine (fastest on UCWA3 traces); ``--engine=incremental`` the
+engine on any trace; ``--engine=incremental`` the
 frame-region checkpointing engine (see docs/incremental-slicing.md);
 ``--workers`` sets the parallel
 engine's process count (default: REPRO_SLICER_WORKERS or usable
@@ -61,7 +66,7 @@ def _collect(name: str, path: str, fmt: str = "v2") -> int:
     except KeyError as err:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return 2
-    engine = run_engine(bench)
+    engine = run_engine(bench, metrics_ticks=2)
     store = engine.trace_store()
     if fmt == "v3":
         from ..profiler.vectorized import attach_index
@@ -161,7 +166,7 @@ def _lint(
 
 def _slice(
     path: str,
-    engine: str = "sequential",
+    engine: str = "auto",
     workers: Optional[int] = None,
     criteria: str = "pixels",
 ) -> int:
@@ -174,9 +179,8 @@ def _slice(
     print(f"{criteria} slice: {stats.fraction:.1%} of {stats.total} records")
     for thread in stats.threads:
         print(f"  {thread.name:<28s} {thread.fraction:>6.1%}")
-    if result.engine_stats:
-        pairs = ", ".join(f"{k}={v}" for k, v in result.engine_stats.items())
-        print(f"engine: {pairs}")
+    pairs = ", ".join(f"{k}={v}" for k, v in result.engine_stats.items())
+    print(f"engine: {pairs}")
     return 0
 
 
@@ -216,7 +220,7 @@ def main(argv) -> int:
     if len(argv) >= 2 and argv[0] == "slice":
         from ..profiler.criteria import criteria_names
 
-        engine, workers, criteria = "sequential", None, "pixels"
+        engine, workers, criteria = "auto", None, "pixels"
         for opt in argv[2:]:
             if opt.startswith("--engine="):
                 engine = opt[len("--engine="):]

@@ -67,7 +67,7 @@ from .store import (
     _Cursor,
     _encode_metadata,
     _HEADER_V3,
-    _RecordWalker,
+    _read_metadata,
     epoch_bounds,
 )
 from .symbols import SymbolTable
@@ -375,7 +375,11 @@ class ColumnarTrace:
 
         Marker ids are assigned in first-use order — the same rule as the
         canonical serializer — so a v2 → v3 → v2 round trip is
-        byte-identical.
+        byte-identical.  The trace keeps a shallow copy of the row list
+        as its materialized records, so a consumer that needs record
+        objects (the CDG pass of :func:`~repro.profiler.vectorized.attach_index`
+        on the v3 write path) reuses them instead of rebuilding them from
+        the columns, and later appends to ``store`` do not leak in.
         """
         records = store.records()
         n = len(records)
@@ -413,7 +417,7 @@ class ColumnarTrace:
         rw_off, rw = pool(lambda r: r.regs_written, np.uint8)
         mr_off, mr = pool(lambda r: r.mem_read, np.uint64)
         mw_off, mw = pool(lambda r: r.mem_written, np.uint64)
-        return ColumnarTrace(
+        cols = ColumnarTrace(
             symbols=store.symbols,
             metadata=store.metadata,
             markers=markers,
@@ -432,6 +436,8 @@ class ColumnarTrace:
             mw_off=mw_off,
             mw=mw,
         )
+        cols._materialized = list(records)
+        return cols
 
     def to_store(self) -> TraceStore:
         """Materialize a row-oriented :class:`TraceStore` (shares symbols
@@ -638,8 +644,8 @@ def parse_columnar(buf, path: str = "<bytes>") -> ColumnarTrace:
 
     metadata = TraceMetadata()
     meta_off, meta_len = table[b"META"]
-    meta_walker = _Cursor(bytes(buf[meta_off : meta_off + meta_len]), label=path)
-    _decode_meta(meta_walker, metadata)
+    meta = _Cursor(bytes(buf[meta_off : meta_off + meta_len]), label=path)
+    _read_metadata(meta, metadata, has_frames=True)
 
     index: Optional[SliceIndex] = None
     if b"INVT" in table and b"EDGE" in table:
@@ -666,15 +672,6 @@ def parse_columnar(buf, path: str = "<bytes>") -> ColumnarTrace:
         index=index,
         source_path=None if path == "<bytes>" else path,
     )
-
-
-def _decode_meta(cur: _Cursor, meta: TraceMetadata) -> None:
-    """Decode the META payload (same layout as the v2 metadata tail)."""
-    walker = _RecordWalker.__new__(_RecordWalker)
-    walker.cur = cur
-    walker.has_frames = True
-    walker.path = cur.label
-    walker.read_metadata(meta)
 
 
 def _decode_index(

@@ -42,8 +42,8 @@ from .store import (
     TraceStore,
     _HEADER_V3,
     _Cursor,
-    _materialize,
-    _read_record,
+    _decode_records,
+    _patch_markers,
     _RecordWalker,
     _skip_record,
 )
@@ -246,7 +246,7 @@ class _FileStreamV2(EpochStream):
         metadata = TraceMetadata()
         walker.read_metadata(metadata)
         super().__init__(symbols, metadata, walker.n_records)
-        self._data = cur.data  # header-stripped image the offsets index
+        self._data = cur.data  # the file image the offsets index
         self._label = str(path)
         self._offsets = offsets
 
@@ -256,14 +256,16 @@ class _FileStreamV2(EpochStream):
                 f"{self._label}: span [{lo}, {hi}) outside trace of "
                 f"{self.n_records}"
             )
-        cur = _Cursor(self._data, label=self._label)
-        cur.pos = self._offsets[lo // OFFSET_STRIDE]
+        if lo == hi:
+            return []
+        cur = _Cursor(
+            self._data, label=self._label, pos=self._offsets[lo // OFFSET_STRIDE]
+        )
         for _ in range(lo % OFFSET_STRIDE):
             _skip_record(cur)
-        markers = self._markers
-        return [
-            _materialize(_read_record(cur), markers) for _ in range(hi - lo)
-        ]
+        records, marked = _decode_records(cur, hi - lo)
+        _patch_markers(records, marked, self._markers, self._label)
+        return records
 
 
 def open_epoch_stream(

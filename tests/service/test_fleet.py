@@ -6,6 +6,8 @@ acceptance gate: a fleet must return byte-identical results (flags
 sha256) to a single-node AF_UNIX daemon for the same trace digests.
 """
 
+import itertools
+
 import pytest
 
 from repro.service.cache import cache_key
@@ -161,17 +163,39 @@ def test_drain_hands_warm_state_to_ring_successors(fleet_factory, frame_trace_pa
 
 
 def test_locally_computed_results_replicate_to_their_owner(fleet_factory):
-    """Workload jobs (digest unknown at submit) replicate post-hoc."""
+    """Workload jobs (digest unknown at submit) replicate post-hoc.
+
+    Whether a job's routing pseudo-key and its digest key land on
+    different shards is down to hashing, and the digest key hashes the
+    analyzer's sources too, so pick a question for which they differ.
+    """
+    from repro.harness.experiments import run_engine
+    from repro.trace.store import trace_digest
+    from repro.workloads import benchmark
+
     supervisor = fleet_factory(n_shards=2)
     fc = _fleet_client(supervisor)
-    response = fc.submit_workload("wiki_article", wait=True)
+    digest = trace_digest(
+        run_engine(benchmark("wiki_article"), metrics_ticks=2).trace_store()
+    )
+    questions = itertools.product(
+        ("pixels", "syscalls", "pixels+syscalls"), ("auto", "sequential", "vectorized")
+    )
+    for criteria, engine in questions:
+        key = cache_key(digest, criteria, engine, None)
+        routed_to = fc.ring.owner(f"workload:wiki_article:{criteria}:{engine}:None")
+        if fc.ring.owner(key) != routed_to:
+            break
+    else:
+        pytest.skip("every question routes to its digest key's owner")
+    response = fc.submit_workload(
+        "wiki_article", criteria=criteria, engine=engine, wait=True
+    )
     assert response["outcome"] == "ok"
+    assert response["result"]["trace_digest"] == digest
     ran_on = response["shard"]
-    digest = response["result"]["trace_digest"]
-    key = cache_key(digest, "pixels", "sequential", None)
+    assert ran_on == routed_to
     owner = fc.ring.owner(key)
-    if owner == ran_on:
-        pytest.skip("pseudo-key and digest key landed on the same shard")
     found = supervisor.server(owner).cache.lookup(key)
     assert found is not None  # replica arrived at the digest-keyed owner
     assert supervisor.server(ran_on).metrics.counter("replicated") == 1

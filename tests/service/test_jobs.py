@@ -86,6 +86,25 @@ def test_execute_job_matches_in_process_api_run(small_trace):
     assert payload["timings"]["slice_s"] > 0
 
 
+def test_execute_job_reports_the_engine_that_ran(small_trace, tmp_path):
+    """The default spec is "auto"; the payload names the engine it ran."""
+    pytest.importorskip("numpy")
+    from repro.trace.columnar import convert_trace
+
+    _, path = small_trace
+    v3 = tmp_path / "small3.ucwa"
+    convert_trace(path, v3)
+    assert JobSpec().engine == "auto"
+    row = execute_job(JobSpec(trace_path=str(path)).validate())
+    columnar = execute_job(JobSpec(trace_path=str(v3)).validate())
+    assert row["engine"] == row["engine_stats"]["engine"] == "sequential"
+    assert columnar["engine"] == columnar["engine_stats"]["engine"] == "vectorized"
+    assert columnar["flags_sha256"] == row["flags_sha256"]
+    forced = execute_job(JobSpec(trace_path=str(v3), engine="sequential").validate())
+    assert forced["engine"] == "sequential"
+    assert forced["flags_sha256"] == row["flags_sha256"]
+
+
 def test_execute_job_syscall_criteria(small_trace):
     store, path = small_trace
     payload = execute_job(JobSpec(trace_path=str(path), criteria="syscalls").validate())

@@ -25,6 +25,7 @@ from repro.trace.columnar import (
     ColumnarTrace,
     convert_trace,
     load_columnar,
+    parse_columnar,
     save_columnar,
     serialize_columnar,
 )
@@ -160,9 +161,33 @@ def test_load_any_trace_dispatches_on_header(tmp_path):
         load_trace(v3)
 
 
+def test_from_store_keeps_a_copy_of_the_rows():
+    from repro.profiler.vectorized import attach_index
+
+    store = random_trace(4, target_records=700)
+    cols = ColumnarTrace.from_store(store)
+    assert cols.records() == store.records()
+    assert cols.records() is not store.records()
+    n = len(store)
+    store.append(store.records()[0])
+    assert len(cols) == n and len(cols.records()) == n
+    assert list(cols.forward()) == store.records()[:n]
+
+    # The index built over the kept rows equals the one built over the
+    # columns alone (the v3 write path relies on the rows).
+    columns_only = parse_columnar(serialize_columnar(cols))
+    assert columns_only.index is None
+    from_rows = attach_index(cols)
+    from_columns = attach_index(columns_only)
+    for name in ("inv_id", "inv_call", "inv_ret", "inv_fn", "edge_src", "edge_tgt"):
+        assert np.array_equal(getattr(from_rows, name), getattr(from_columns, name))
+
+
 def test_span_rebases_operand_offsets():
     store = random_trace(11, target_records=1_200)
-    cols = ColumnarTrace.from_store(store)
+    # Parse the encoded columns: a trace built by from_store keeps its
+    # row list, and span() would slice that instead of the columns.
+    cols = parse_columnar(serialize_columnar(ColumnarTrace.from_store(store)))
     records = list(store.forward())
     lo, hi = len(records) // 3, 2 * len(records) // 3
     assert cols.span(lo, hi) == records[lo:hi]

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.trace.records import FrameSpan
-from repro.trace.store import save_trace
+from repro.trace.store import TraceStore, save_trace
 from repro.trace.stream import (
     NO_FRAME,
+    OFFSET_STRIDE,
     compute_regions,
     open_epoch_stream,
     region_digest,
@@ -133,6 +134,18 @@ def test_span_bounds_checked(frame_store, tmp_path):
     )
     with pytest.raises(ValueError, match="span"):
         stream.span(0, len(stream) + 1)
+
+
+def test_empty_span_at_a_stride_boundary(tmp_path):
+    source = random_trace(3, target_records=OFFSET_STRIDE + 200)
+    store = TraceStore(source.symbols)
+    store.extend(source.records()[:OFFSET_STRIDE])
+    path = tmp_path / "stride.ucwa"
+    save_trace(store, path)
+    stream = open_epoch_stream(path)
+    assert len(stream) % OFFSET_STRIDE == 0
+    assert stream.span(len(stream), len(stream)) == []
+    assert stream.span(0, len(stream)) == store.records()
 
 
 def test_open_epoch_stream_rejects_junk():

@@ -1,5 +1,9 @@
 """Tests for the trace CLI and full-trace persistence of a real workload."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.profiler import Profiler, pixel_criteria
@@ -124,3 +128,47 @@ def test_cli_lint_on_real_trace(saved_trace, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "call-ret-balance" in out
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "harness" / "goldens" / "paper_numbers.json"
+
+
+def test_collect_then_slice_reproduces_the_table2_golden(tmp_path, capsys):
+    """collect runs the harness recipe, so a stored trace slices to the
+    paper numbers exactly, with the engine that ran named."""
+    from repro.profiler.api import run_slice_job
+    from repro.trace.store import load_any_trace
+
+    golden = json.loads(GOLDEN.read_text("utf-8"))["table2"]["amazon_mobile"]
+    path = tmp_path / "amazon_mobile.ucwa"
+    assert trace_main(["collect", "amazon_mobile", str(path)]) == 0
+    assert f"saved {golden['total_instructions']} records" in capsys.readouterr().out
+    assert trace_main(["slice", str(path)]) == 0
+    out = capsys.readouterr().out
+    match = re.search(r"pixels slice: ([\d.]+)% of (\d+) records", out)
+    assert match is not None, out
+    assert match.group(1) == f"{100 * golden['all_fraction']:.1f}"
+    assert int(match.group(2)) == golden["total_instructions"]
+    assert "engine: engine=sequential" in out
+
+    _, stats = run_slice_job(load_any_trace(path))
+    assert stats.total == golden["total_instructions"]
+    assert stats.fraction == golden["all_fraction"]
+
+
+def test_cli_slice_auto_runs_vectorized_on_an_indexed_v3_file(
+    saved_trace, tmp_path, capsys
+):
+    _, path = saved_trace
+    v3 = tmp_path / "wiki3.ucwa"
+    assert trace_main(["convert", str(path), str(v3)]) == 0
+    capsys.readouterr()
+    assert trace_main(["slice", str(path)]) == 0
+    v2_out = capsys.readouterr().out
+    assert "engine=sequential" in v2_out
+    assert trace_main(["slice", str(v3)]) == 0
+    v3_out = capsys.readouterr().out
+    assert "engine=vectorized" in v3_out and "stored_index=True" in v3_out
+    # Same fractions, line for line, whichever engine ran.
+    strip = lambda out: [line for line in out.splitlines() if "engine" not in line]
+    assert strip(v3_out) == strip(v2_out)
