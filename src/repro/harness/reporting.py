@@ -197,39 +197,6 @@ def frames_report(results: Dict[str, FrameExperimentResult]) -> str:
     return "\n".join(lines).rstrip()
 
 
-def parallel_speedup_report(timings: Dict[str, Dict[str, object]]) -> str:
-    """Sequential-vs-parallel backward-pass wall-clock comparison.
-
-    ``timings`` maps workload name to a dict with ``records``,
-    ``sequential_s``, ``parallel_s``, ``workers``, and the parallel
-    engine's convergence counters (``rounds``, ``epoch_runs``,
-    ``epochs``, ``pass_throughs``).  Produced by
-    ``benchmarks/test_bench_parallel_slicer.py``.
-    """
-    lines = [
-        "Parallel backward slicer: wall-clock vs sequential engine",
-        "=" * 78,
-        f"{'Workload':<16s}{'Records':>9s}{'Seq (s)':>9s}{'Par (s)':>9s}"
-        f"{'Speedup':>9s}{'Workers':>8s}{'Epochs':>7s}{'Runs':>6s}{'Rounds':>7s}",
-        "-" * 78,
-    ]
-    for name, t in timings.items():
-        seq = float(t["sequential_s"])
-        par = float(t["parallel_s"])
-        speedup = seq / par if par else float("inf")
-        lines.append(
-            f"{name:<16s}{t['records']:>9}{seq:>9.3f}{par:>9.3f}"
-            f"{speedup:>8.2f}x{t['workers']:>8}{t['epochs']:>7}"
-            f"{t['epoch_runs']:>6}{t['rounds']:>7}"
-        )
-    lines.append("-" * 78)
-    lines.append(
-        "epoch runs > epochs measures fixpoint re-execution; speedup needs "
-        "spare cores\n(a 1-CPU host serializes the workers and reports < 1x)."
-    )
-    return "\n".join(lines)
-
-
 def run_all_table2() -> Dict[str, ExperimentResult]:
     """Run (or reuse) the four Table II benchmarks."""
     return {name: cached_run(name) for name in paper.TABLE2}

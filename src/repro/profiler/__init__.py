@@ -36,6 +36,7 @@ from .criteria import (
 )
 from .calltree import CallNode, build_call_tree, hottest_paths, render_call_tree
 from .diff import SliceDiff, diff_slices, exclusive_functions
+from .epoch import SliceFrontier
 from .explain import chain_heads, explain_record, reason_summary
 from .incremental import (
     IncrementalCDI,
@@ -45,7 +46,6 @@ from .incremental import (
     StreamingSliceSession,
 )
 from .oracle import OracleSlicer, oracle_slice
-from .parallel import ParallelSlicer, SliceFrontier, default_workers
 from .postdom import immediate_postdominators, postdominates
 from .redundancy import (
     FrameRedundancy,
@@ -99,9 +99,7 @@ __all__ = [
     "combined_criteria",
     "custom_criteria",
     "BackwardSlicer",
-    "ParallelSlicer",
     "SliceFrontier",
-    "default_workers",
     "IncrementalSlicer",
     "IncrementalCDI",
     "IncrementalFrameResult",

@@ -40,7 +40,7 @@ if TYPE_CHECKING:
 #: accepts, ``"auto"`` (the default, see :func:`resolve_engine`) first.
 #: CLIs and the service validate engine names against this one tuple so a
 #: new engine lands everywhere at once.
-ENGINES = ("auto", "sequential", "parallel", "vectorized", "incremental")
+ENGINES = ("auto", "sequential", "vectorized", "incremental")
 
 
 def resolve_engine(
@@ -121,8 +121,6 @@ class Profiler:
         main_tid: Optional[int] = None,
         options: SlicerOptions = DEFAULT_OPTIONS,
         engine: str = "auto",
-        workers: Optional[int] = None,
-        epoch_size: Optional[int] = None,
         checkpoint: Optional["SliceCheckpoint"] = None,
     ) -> SliceResult:
         """Run the backward pass for ``criteria``.
@@ -130,18 +128,13 @@ class Profiler:
         ``engine`` selects the implementation: ``"auto"`` (default; picks
         one of the others from the trace and the request, see
         :func:`resolve_engine`), ``"sequential"`` (the reference: a single
-        in-process pass), ``"parallel"`` (epoch-sharded fixpoint across
-        ``workers`` processes; see ``docs/parallel-slicing.md``),
-        ``"vectorized"`` (array-join closure over a columnar trace;
-        converts row stores on entry), or ``"incremental"``
-        (frame-region memoization against a checkpoint; see
-        ``docs/incremental-slicing.md``).  All produce identical
+        in-process pass), ``"vectorized"`` (array-join closure over a
+        columnar trace; converts row stores on entry), or
+        ``"incremental"`` (frame-region memoization against a checkpoint;
+        see ``docs/incremental-slicing.md``).  All produce identical
         sliced-record sets, and every engine names itself in
-        ``result.engine_stats["engine"]``.  ``workers`` defaults to
-        ``REPRO_SLICER_WORKERS`` or the CPU allowance; ``epoch_size``
-        overrides the automatic trace split (parallel engine only);
-        ``checkpoint`` overrides the profiler-lifetime checkpoint
-        (incremental engine only).
+        ``result.engine_stats["engine"]``.  ``checkpoint`` overrides the
+        profiler-lifetime checkpoint (incremental engine only).
         """
         if engine == "auto":
             engine = resolve_engine(self._store, options, sample_every, checkpoint)
@@ -155,19 +148,6 @@ class Profiler:
                 options=options,
             )
             return slicer.run()
-        if engine == "parallel":
-            from .parallel import ParallelSlicer
-
-            return ParallelSlicer(
-                self._store,
-                self.control_dependence_index(),
-                criteria,
-                workers=workers,
-                epoch_size=epoch_size,
-                sample_every=sample_every,
-                main_tid=main_tid,
-                options=options,
-            ).run()
         if engine == "vectorized":
             from .vectorized import VectorizedSlicer
 
@@ -288,7 +268,6 @@ def run_slice_job(
     store: TraceStore,
     criteria: str = "pixels",
     engine: str = "auto",
-    workers: Optional[int] = None,
     frame: Optional[int] = None,
     sample_every: Optional[int] = None,
     options: SlicerOptions = DEFAULT_OPTIONS,
@@ -310,7 +289,6 @@ def run_slice_job(
         job_criteria(store, criteria, frame),
         sample_every=sample_every,
         engine=engine,
-        workers=workers,
         options=options,
         checkpoint=checkpoint,
     )

@@ -22,9 +22,8 @@ being sliced.  Two reuse tiers apply, strongest first:
 2. **pass-through** — the new entry frontier is a superset whose
    additions provably cannot interact with the region (checked against
    its static write/branch footprint, exactly the
-   :func:`~repro.profiler.parallel.try_pass_through` argument from the
-   parallel engine): flags are reused and the additions are threaded
-   through to the exit frontier.
+   :func:`~repro.profiler.epoch.try_pass_through` argument): flags are
+   reused and the additions are threaded through to the exit frontier.
 
 Anything else re-runs the region (and refreshes the memo).  Regions
 holding criteria seeds — for a frame-windowed pixel slice, just the
@@ -61,7 +60,7 @@ from ..trace.stream import EpochStream, FrameEpoch, Region, compute_regions, reg
 from .cdg import control_dependences
 from .cfg import DynamicCFGBuilder, FunctionCFG
 from .criteria import Criterion, SlicingCriteria
-from .parallel import (
+from .epoch import (
     EpochResult,
     EpochSummary,
     SliceFrontier,

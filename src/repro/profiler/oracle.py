@@ -3,7 +3,7 @@
 This module exists to *check* the real slicers, not to be fast.  It
 formulates the backward slice the textbook way — as a reachability
 closure over explicit dependence edges — instead of the streaming
-liveness pass used by :mod:`.slicer` and :mod:`.parallel`:
+liveness pass used by :mod:`.slicer` and :mod:`.epoch`:
 
 * **data**: a joined record's memory reads depend on the latest earlier
   writer of each cell (any thread); register reads on the latest earlier

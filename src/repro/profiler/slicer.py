@@ -95,8 +95,8 @@ class SliceResult:
     #: the per-kind counts sum to the slice size.
     reasons: Optional[Dict[int, Tuple[str, int]]] = None
     #: engine diagnostics: "engine" (the engine that ran, whatever name the
-    #: caller passed) plus engine-specific counters (for the parallel
-    #: engine: workers, epochs, rounds, epoch_runs, pass_throughs).
+    #: caller passed) plus engine-specific counters (for the incremental
+    #: engine: regions, region_runs, memo_exact, records_touched, ...).
     engine_stats: Dict[str, object] = field(default_factory=dict)
 
     def __contains__(self, index: int) -> bool:
@@ -319,8 +319,6 @@ def slice_trace(
     cdi: Optional[ControlDependenceIndex] = None,
     sample_every: Optional[int] = None,
     engine: str = "auto",
-    workers: Optional[int] = None,
-    epoch_size: Optional[int] = None,
     checkpoint=None,
 ) -> SliceResult:
     """One-call convenience: forward pass (if needed) + backward pass.
@@ -335,7 +333,5 @@ def slice_trace(
         criteria,
         sample_every=sample_every,
         engine=engine,
-        workers=workers,
-        epoch_size=epoch_size,
         checkpoint=checkpoint,
     )

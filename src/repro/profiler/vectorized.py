@@ -1,7 +1,7 @@
 """Vectorized backward slicer over columnar (UCWA3) traces.
 
-The sequential pass (:mod:`.slicer`) and the epoch-sharded parallel pass
-(:mod:`.parallel`) both stream per-record Python objects.  This engine
+The sequential pass (:mod:`.slicer`) and the incremental engine's epoch
+runs (:mod:`.epoch`) stream per-record Python objects.  This engine
 reformulates the backward slice the way :mod:`.oracle` does — as a
 reachability closure over explicit dependence edges — but computes the
 edges with batch array joins over the columnar trace:
@@ -43,7 +43,6 @@ from ..trace.records import InstrKind
 from ..trace.store import TraceStore
 from .cdg import ControlDependenceIndex
 from .criteria import SlicingCriteria
-from .parallel import EpochSummary
 from .slicer import (
     DEFAULT_OPTIONS,
     SliceResult,
@@ -566,10 +565,10 @@ def reconstruct_timeline_columnar(
 ) -> List[TimelineSample]:
     """Figure-4 timeline samples from the final flags, vectorized.
 
-    Matches :meth:`.parallel.ParallelSlicer._reconstruct_timeline`: every
-    record counts when visited (backward), so intermediate samples can
-    differ from the sequential engine's by not-yet-paired RETs, while the
-    final sample is identical.
+    Matches :func:`.epoch.reconstruct_timeline`: every record counts
+    when visited (backward), so intermediate samples can differ from the
+    sequential engine's by not-yet-paired RETs, while the final sample
+    is identical.
     """
     n = len(cols)
     if n == 0:
@@ -592,41 +591,6 @@ def reconstruct_timeline_columnar(
         TimelineSample(n, int(cum_in[-1]), int(cum_pm[-1]), int(cum_im[-1]))
     )
     return samples
-
-
-def summarize_epoch_columnar(
-    cols: ColumnarTrace, lo: int, hi: int
-) -> EpochSummary:
-    """Columnar :func:`.parallel.summarize_epoch`: the epoch's write and
-    branch footprint from column slices, no record materialization."""
-    summary = EpochSummary()
-    kind = cols.kind[lo:hi]
-    tid = cols.tid[lo:hi]
-    notret = kind != _RET
-    summary.tids = set(tid.tolist()) if hi - lo < 64 else set(
-        np.unique(tid).tolist()
-    )
-
-    off = cols.mw_off[lo : hi + 1]
-    own = np.repeat(np.arange(hi - lo, dtype=np.int64), np.diff(off))
-    vals = np.asarray(cols.mw)[off[0] : off[-1]]
-    summary.mem_written = set(np.unique(vals[notret[own]]).tolist())
-
-    off = cols.rw_off[lo : hi + 1]
-    own = np.repeat(np.arange(hi - lo, dtype=np.int64), np.diff(off))
-    vals = np.asarray(cols.rw)[off[0] : off[-1]]
-    keep = notret[own]
-    pair = tid[own[keep]].astype(np.int64) * 256 + vals[keep]
-    for key in np.unique(pair).tolist():
-        summary.regs_written.setdefault(key // 256, set()).add(key % 256)
-
-    branch = np.nonzero(kind == _BRANCH)[0]
-    if len(branch):
-        btid = tid[branch]
-        bpc = cols.pc[lo:hi][branch]
-        for t in np.unique(btid).tolist():
-            summary.branch_pcs[t] = set(bpc[btid == t].tolist())
-    return summary
 
 
 # --------------------------------------------------------------------- #

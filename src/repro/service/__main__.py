@@ -6,7 +6,7 @@ Usage::
         [--tcp=HOST:PORT] [--auth-token=SECRET] [--workers=2] [--queue-size=16] \\
         [--job-timeout=300] [--cache-max-bytes=N] [--cache-ttl=SECONDS]
     python -m repro.service submit --socket=/tmp/repro.sock --workload=wiki_article \\
-        [--criteria=pixels] [--engine=auto] [--slicer-workers=4] [--frame=N] [--no-wait]
+        [--criteria=pixels] [--engine=auto] [--frame=N] [--no-wait]
     python -m repro.service submit --socket=/tmp/repro.sock --trace=/tmp/amazon.ucwa ...
     python -m repro.service submit --socket=tcp:HOST:PORT --auth-token=SECRET \\
         --upload=/tmp/amazon.ucwa [--stream] ...
@@ -239,7 +239,6 @@ def _submit(argv: List[str]) -> int:
             trace_ref=options.pop("trace-ref", None),
             criteria=options.pop("criteria", "pixels"),
             engine=options.pop("engine", "auto"),
-            workers=_take_int(options, "slicer-workers"),
             frame=_take_int(options, "frame"),
             timeout_s=_take_float(options, "timeout"),
             fault=options.pop("fault", None),

@@ -1,8 +1,8 @@
 """Job specs and their execution (the service's unit of work).
 
 A :class:`JobSpec` names *what* to analyze — a registered workload or a
-stored trace file — and *how*: criteria family, slicing engine, worker
-count, optional frame selection.  Specs are plain JSON-able data so they
+stored trace file — and *how*: criteria family, slicing engine, optional
+frame selection.  Specs are plain JSON-able data so they
 travel over the wire, key the coalescing map, and re-execute identically
 on retry.
 
@@ -52,7 +52,6 @@ class JobSpec:
     trace_ref: Optional[str] = None
     criteria: str = "pixels"
     engine: str = "auto"
-    workers: Optional[int] = None
     frame: Optional[int] = None
     timeout_s: Optional[float] = None
     fault: Optional[str] = None
@@ -95,8 +94,6 @@ class JobSpec:
             raise SpecError(
                 f"unknown engine {self.engine!r}; expected one of {_ENGINES}"
             )
-        if self.workers is not None and self.workers < 1:
-            raise SpecError(f"workers must be >= 1, got {self.workers}")
         if self.frame is not None and self.frame < 0:
             raise SpecError(f"frame must be >= 0, got {self.frame}")
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -237,7 +234,6 @@ def execute_job(spec: JobSpec, attempt: int = 0) -> Dict[str, Any]:
         store,
         criteria=spec.criteria,
         engine=spec.engine,
-        workers=spec.workers,
         frame=spec.frame,
         checkpoint=checkpoint,
     )

@@ -15,10 +15,6 @@ boundary is what buys the service its robustness guarantees:
   once would spend it again.
 * **Cancellation** — a cancel request sets the job's event; the
   supervisor polls it while waiting and terminates the child.
-
-The parallel slicing engine composes cleanly with this: the child
-process spawns its own epoch-shard pool internally, so a service job
-with ``engine="parallel"`` still fans out across cores.
 """
 
 from __future__ import annotations
@@ -97,9 +93,7 @@ def run_attempt(
     """Run one supervised attempt of ``spec`` in a child process."""
     ctx = mp_context if mp_context is not None else _mp_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
-    # Not daemonic: a daemonic process may not have children, and jobs
-    # running engine="parallel" fork their own epoch-shard pool.  The
-    # supervisor always joins (or terminates) the child in ``finally``.
+    # The supervisor always joins (or terminates) the child in ``finally``.
     process = ctx.Process(
         target=_job_process_main,
         args=(spec.to_dict(), attempt, child_conn),

@@ -9,7 +9,6 @@ Usage::
     python -m repro.trace convert /tmp/amazon.ucwa /tmp/amazon3.ucwa
     python -m repro.trace slice /tmp/amazon.ucwa
     python -m repro.trace slice /tmp/amazon.ucwa --criteria=syscalls
-    python -m repro.trace slice /tmp/amazon.ucwa --engine=parallel --workers=4
     python -m repro.trace slice /tmp/amazon3.ucwa --engine=sequential
 
 ``collect`` runs a registered benchmark with the harness recipe (the
@@ -36,15 +35,11 @@ paper uses).  ``--criteria`` picks the criteria family — ``pixels``
 ``vectorized`` engine on a UCWA3 trace carrying its stored slice index
 and the reference ``sequential`` engine otherwise; the ``engine:`` line
 names the engine that ran.  ``--engine=sequential`` forces the
-reference; ``--engine=parallel`` selects the epoch-sharded engine (see
-docs/parallel-slicing.md); ``--engine=vectorized`` the array-join
-engine on any trace; ``--engine=incremental`` the
-frame-region checkpointing engine (see docs/incremental-slicing.md);
-``--workers`` sets the parallel
-engine's process count (default: REPRO_SLICER_WORKERS or usable
-cores).  ``info``, ``lint``, ``convert``, and ``slice`` accept every
-UCWA format.  Unknown criteria, engines, formats, and workload names
-exit with status 2.
+reference; ``--engine=vectorized`` the array-join engine on any trace;
+``--engine=incremental`` the frame-region checkpointing engine (see
+docs/incremental-slicing.md).  ``info``, ``lint``, ``convert``, and
+``slice`` accept every UCWA format.  Unknown criteria, engines, options,
+formats, and workload names exit with status 2.
 """
 
 from __future__ import annotations
@@ -164,18 +159,11 @@ def _lint(
     return 0 if report.ok else 1
 
 
-def _slice(
-    path: str,
-    engine: str = "auto",
-    workers: Optional[int] = None,
-    criteria: str = "pixels",
-) -> int:
+def _slice(path: str, engine: str = "auto", criteria: str = "pixels") -> int:
     from ..profiler.api import run_slice_job
 
     store = load_any_trace(path)
-    result, stats = run_slice_job(
-        store, criteria=criteria, engine=engine, workers=workers
-    )
+    result, stats = run_slice_job(store, criteria=criteria, engine=engine)
     print(f"{criteria} slice: {stats.fraction:.1%} of {stats.total} records")
     for thread in stats.threads:
         print(f"  {thread.name:<28s} {thread.fraction:>6.1%}")
@@ -220,18 +208,12 @@ def main(argv) -> int:
     if len(argv) >= 2 and argv[0] == "slice":
         from ..profiler.criteria import criteria_names
 
-        engine, workers, criteria = "auto", None, "pixels"
+        engine, criteria = "auto", "pixels"
         for opt in argv[2:]:
             if opt.startswith("--engine="):
                 engine = opt[len("--engine="):]
             elif opt.startswith("--criteria="):
                 criteria = opt[len("--criteria="):]
-            elif opt.startswith("--workers="):
-                try:
-                    workers = int(opt[len("--workers="):])
-                except ValueError:
-                    print(f"--workers expects an integer, got {opt!r}")
-                    return 2
             else:
                 print(f"unknown option {opt!r}")
                 return 2
@@ -247,11 +229,8 @@ def main(argv) -> int:
                 f"available: {', '.join(criteria_names())}"
             )
             return 2
-        if workers is not None and workers < 1:
-            print(f"--workers must be >= 1, got {workers}")
-            return 2
         try:
-            return _slice(argv[1], engine=engine, workers=workers, criteria=criteria)
+            return _slice(argv[1], engine=engine, criteria=criteria)
         except ValueError as err:
             print(f"error: {err}")
             return 2

@@ -6,8 +6,8 @@ needs one column.  UCWA3 stores the same logical trace as flat typed
 arrays — one array per fixed-width field, plus shared offset+value pools
 for the variable-length operand lists — so the vectorized slicer
 (:mod:`repro.profiler.vectorized`) can run batch array joins instead of
-per-record dict chasing, and epoch sharding hands workers zero-copy array
-views.
+per-record dict chasing, and epoch readers materialize only the span they
+need from zero-copy array views.
 
 File layout::
 
@@ -272,8 +272,8 @@ class ColumnarTrace:
         """Materialize records ``[lo, hi)`` from column views (batch path).
 
         One ``.tolist()`` per column slice instead of per-record numpy
-        scalar indexing; this is what the parallel engine's epoch workers
-        call on their ``[lo, hi)`` array views.
+        scalar indexing; this is what the incremental engine calls per
+        region and what batched forward iteration uses.
         """
         if self._materialized is not None:
             return self._materialized[lo:hi]
@@ -330,12 +330,6 @@ class ColumnarTrace:
 
     def backward(self) -> Iterator[TraceRecord]:
         return reversed(self.records())
-
-    def iter_epochs(
-        self, epoch_size: int
-    ) -> Iterator[Tuple[int, int, List[TraceRecord]]]:
-        for lo, hi in epoch_bounds(len(self), epoch_size):
-            yield lo, hi, self.span(lo, hi)
 
     def thread_ids(self) -> List[int]:
         return np.unique(self.tid).tolist()

@@ -22,8 +22,8 @@ the row-oriented v1/v2 encodings only.
 All v1/v2 parsing goes through one shared *section walker*
 (:class:`_RecordWalker`), one record decoder (:func:`_decode_records`) and
 its length-only twin (:func:`_skip_record`), so the full loader, the epoch
-streamer, :func:`iter_trace_epochs` and the columnar ``META`` reader can
-never disagree about where a section starts.  Malformed input of any kind
+streamer and the columnar ``META`` reader can never disagree about where
+a section starts.  Malformed input of any kind
 raises ``ValueError`` naming the file.
 """
 
@@ -115,18 +115,6 @@ class TraceStore:
     def span(self, lo: int, hi: int) -> List[TraceRecord]:
         """Records ``[lo, hi)`` in execution order (one epoch's worth)."""
         return self._records[lo:hi]
-
-    def iter_epochs(
-        self, epoch_size: int
-    ) -> Iterator[Tuple[int, int, List[TraceRecord]]]:
-        """Yield ``(lo, hi, records)`` per epoch, earliest epoch first.
-
-        The epoch-sharded slicer uses this to materialize one epoch at a
-        time instead of holding (or shipping) the whole trace; each yield
-        covers ``[lo, hi)`` with ``hi - lo <= epoch_size``.
-        """
-        for lo, hi in epoch_bounds(len(self._records), epoch_size):
-            yield lo, hi, self._records[lo:hi]
 
     def thread_ids(self) -> List[int]:
         """Distinct thread ids present in the trace, sorted."""
@@ -519,9 +507,8 @@ class _RecordWalker:
     """Positioned view over a v1/v2 file image: one walker per section.
 
     The walker owns all knowledge of section order (symbols, records,
-    markers, metadata); :func:`load_trace`, :func:`iter_trace_epochs`, and
-    the epoch streamer all drive the same instance methods, so a format
-    change cannot desync them.
+    markers, metadata); :func:`load_trace` and the epoch streamer drive
+    the same instance methods, so a format change cannot desync them.
     """
 
     def __init__(self, data: bytes, path: str) -> None:
@@ -539,7 +526,6 @@ class _RecordWalker:
         self.path = path
         self.cur = _Cursor(data, label=str(path), pos=len(_HEADER))
         self.n_records = 0
-        self._records_pos: Optional[int] = None
 
     def read_symbols(self) -> SymbolTable:
         symbols = SymbolTable()
@@ -547,17 +533,12 @@ class _RecordWalker:
         for _ in range(cur.take_int(_U32)):
             symbols.intern(cur.take_str(cur.take_int(_U16)))
         self.n_records = cur.take_int(_U64)
-        self._records_pos = cur.pos
         return symbols
 
     def skip_records(self) -> None:
         """Length-only pass over the record section (to reach the markers)."""
         for _ in range(self.n_records):
             _skip_record(self.cur)
-
-    def rewind_to_records(self) -> None:
-        assert self._records_pos is not None, "read_symbols() first"
-        self.cur.pos = self._records_pos
 
     def read_markers(self) -> List[str]:
         cur = self.cur
@@ -604,39 +585,3 @@ def load_any_trace(path: Union[str, Path]):
 
         return load_columnar(path)
     return load_trace(path)
-
-
-def iter_trace_epochs(
-    path: Union[str, Path], epoch_size: int
-) -> Iterator[Tuple[int, int, List[TraceRecord]]]:
-    """Stream a saved trace epoch by epoch without building a TraceStore.
-
-    Yields ``(lo, hi, records)`` for consecutive ``[lo, hi)`` windows of at
-    most ``epoch_size`` records, parsing directly from the file image.  Only
-    one epoch's records are materialized at a time, so a trace far larger
-    than memory-resident ``TraceStore`` comfort can still be sharded into
-    epochs for the parallel slicer.
-
-    The marker-name table lives *after* the record section in the UCWA
-    format, so a length-only skip pass (the shared
-    :func:`_skip_record` walker) locates it first; the second pass
-    decodes records with marker names resolved.  The metadata tail is
-    checked in the first pass too, so a truncated file raises before the
-    first epoch is yielded.
-    """
-    if epoch_size <= 0:
-        raise ValueError(f"epoch_size must be positive, got {epoch_size}")
-    data = Path(path).read_bytes()
-    walker = _RecordWalker(data, str(path))
-    walker.read_symbols()
-
-    walker.skip_records()
-    markers = walker.read_markers()
-    walker.read_metadata(TraceMetadata())
-
-    walker.rewind_to_records()
-    n_records = walker.n_records
-    for lo, hi in epoch_bounds(n_records, epoch_size):
-        records, marked = _decode_records(walker.cur, hi - lo)
-        _patch_markers(records, marked, markers, walker.path)
-        yield lo, hi, records

@@ -12,9 +12,9 @@ Two levels of fuzzing, both deterministic given the seed:
   to be run through the real browser engine.
 
 The differential tests slice the resulting traces with the sequential
-engine, the parallel engine, and the oracle, and assert identical
-sliced-record sets; on mismatch the failing seed reproduces the trace
-exactly.
+engine, the epoch core chained over small epochs, and the oracle, and
+assert identical sliced-record sets; on mismatch the failing seed
+reproduces the trace exactly.
 """
 
 from __future__ import annotations

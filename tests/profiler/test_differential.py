@@ -1,10 +1,12 @@
-"""Differential testing: parallel ≡ sequential ≡ oracle.
+"""Differential testing: chained epochs ≡ sequential ≡ oracle.
 
-Three independent implementations of the backward slice are run over the
-same randomized traces and must produce identical sliced-record sets:
+Three implementations of the backward slice are run over the same
+randomized traces and must produce identical sliced-record sets:
 
 * the streaming sequential pass (``profiler/slicer.py``),
-* the epoch-sharded parallel fixpoint (``profiler/parallel.py``),
+* the epoch core (``profiler/epoch.py``) chained over small fixed-size
+  epochs, so non-empty frontiers cross many epoch boundaries
+  (``epoch_chain.py``),
 * the transitive-closure oracle (``profiler/oracle.py``).
 
 The trio makes single-implementation bugs visible: the oracle shares no
@@ -16,8 +18,6 @@ reproduces the trace exactly.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.profiler import Profiler
@@ -27,18 +27,16 @@ from repro.profiler.criteria import (
     pixel_criteria,
     syscall_criteria,
 )
+from repro.profiler.epoch import SliceFrontier
 from repro.profiler.oracle import OracleSlicer
-from repro.profiler.parallel import ParallelSlicer
 from repro.profiler.slicer import BackwardSlicer
 from repro.trace.lint import lint_or_raise
 from repro.workloads.fuzz import random_page, random_trace
 
+from .epoch_chain import chained_epoch_slice
+
 # 60 seeds x 3 criteria = 180 randomized differential runs.
 SEEDS = range(60)
-
-#: worker count used for the in-test parallel runs; CI overrides this to
-#: exercise both the inline path (1) and real process pools (4).
-WORKERS = int(os.environ.get("REPRO_SLICER_WORKERS", "1"))
 
 
 def _criteria_variants(store):
@@ -49,21 +47,19 @@ def _criteria_variants(store):
     return variants
 
 
-def _assert_equivalent(store, seed, *, workers=WORKERS, epoch_size=None):
+def _assert_equivalent(store, seed, *, epoch_size):
     # Sanitize first: a malformed trace would make any slicer agreement
     # (or disagreement) meaningless.
-    lint_or_raise(store, epoch_size=epoch_size or 4096)
+    lint_or_raise(store, epoch_size=epoch_size)
     cdi = build_index(store.forward())
     for criteria in _criteria_variants(store):
         seq = BackwardSlicer(store, cdi, criteria).run()
-        par = ParallelSlicer(
-            store, cdi, criteria, workers=workers, epoch_size=epoch_size
-        ).run()
+        chain = chained_epoch_slice(store, cdi, criteria, epoch_size)
         orc = OracleSlicer(store, cdi, criteria).run()
         label = f"seed={seed} criteria={criteria.name}"
-        assert bytes(par.flags) == bytes(seq.flags), (
-            f"parallel != sequential for {label}; "
-            f"first diffs at {_diff_indices(seq.flags, par.flags)}"
+        assert bytes(chain.flags) == bytes(seq.flags), (
+            f"chained epochs != sequential for {label}; "
+            f"first diffs at {_diff_indices(seq.flags, chain.flags)}"
         )
         assert bytes(orc.flags) == bytes(seq.flags), (
             f"oracle != sequential for {label}; "
@@ -78,15 +74,8 @@ def _diff_indices(a, b, limit=10):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_traces_all_engines_agree(seed):
     store = random_trace(seed, target_records=1_500 + 100 * (seed % 7))
-    # Small epochs force many frontier hand-offs and fixpoint rounds.
+    # Small epochs force many frontier hand-offs.
     _assert_equivalent(store, seed, epoch_size=128 + 13 * (seed % 5))
-
-
-@pytest.mark.parametrize("seed", (0, 1, 2))
-def test_random_traces_with_process_pool(seed):
-    """A few seeds through real worker processes (not the inline path)."""
-    store = random_trace(seed + 1000, target_records=4_000)
-    _assert_equivalent(store, seed + 1000, workers=4, epoch_size=512)
 
 
 @pytest.mark.parametrize("seed", (7, 21))
@@ -99,7 +88,7 @@ def test_random_pages_all_engines_agree(seed):
     store = run_engine(bench, metrics_ticks=1).trace_store()
     # Engine-generated traces must also be race-free under the concurrency
     # sanitizer: an unsynchronized cross-thread pair would make the slice
-    # depend on interleaving, voiding the sequential/parallel comparison.
+    # depend on interleaving, voiding the engine comparison.
     report = detect_races(store)
     assert report.ok, "\n".join(r.describe() for r in report.races[:5])
     _assert_equivalent(store, seed, epoch_size=max(256, len(store) // 13))
@@ -121,33 +110,39 @@ def test_engine_switch_on_profiler_api():
     store = random_trace(123)
     prof = Profiler(store)
     seq = prof.pixel_slice()
-    par = prof.pixel_slice(engine="parallel", workers=WORKERS)
-    assert bytes(par.flags) == bytes(seq.flags)
-    assert par.engine_stats["engine"] == "parallel"
-    assert par.engine_stats["epoch_runs"] >= par.engine_stats["epochs"]
-    with pytest.raises(ValueError):
-        prof.pixel_slice(engine="turbo")
+    inc = prof.pixel_slice(engine="incremental")
+    assert bytes(inc.flags) == bytes(seq.flags)
+    assert inc.engine_stats["engine"] == "incremental"
+    assert inc.engine_stats["records_total"] == len(store)
+    for engine in ("turbo", "parallel"):
+        with pytest.raises(ValueError):
+            prof.pixel_slice(engine=engine)
 
 
-def test_parallel_timeline_final_sample_matches_sequential():
-    store = random_trace(42, target_records=3_000)
-    prof = Profiler(store)
-    seq = prof.pixel_slice(sample_every=500)
-    par = prof.pixel_slice(sample_every=500, engine="parallel", workers=1)
-    assert par.timeline, "parallel engine should emit timeline samples"
-    assert par.timeline[-1] == seq.timeline[-1]
+_FRONTIER = SliceFrontier(
+    live_mem=(3, 9, 0xFFFF_FFFF_0000),
+    live_regs=((1, (2, 5)), (4, (1,))),
+    pending=((1, (1 << 21,)),),
+    stacks=((1, ((7, 1234, 1, 0), (9, -1, 0, 1))),),
+)
 
 
 def test_frontier_serialization_round_trip():
-    from repro.profiler.parallel import SliceFrontier
     import pickle
 
-    frontier = SliceFrontier(
-        live_mem=(3, 9, 0xFFFF_FFFF_0000),
-        live_regs=((1, (2, 5)), (4, (1,))),
-        pending=((1, (1 << 21,)),),
-        stacks=((1, ((7, 1234, 1, 0), (9, -1, 0, 1))),),
-    )
+    frontier = _FRONTIER
     assert SliceFrontier.from_bytes(frontier.to_bytes()) == frontier
     assert pickle.loads(pickle.dumps(frontier)) == frontier
     assert SliceFrontier.empty().to_bytes() == SliceFrontier().to_bytes()
+
+
+def test_frontier_from_bytes_rejects_short_and_trailing_input():
+    """A damaged checkpoint frontier raises ``ValueError`` (which the
+    checkpoint readers treat as "rebuild cold"), never ``struct.error``
+    and never a silently different frontier."""
+    data = _FRONTIER.to_bytes()
+    for cut in range(len(data)):
+        with pytest.raises(ValueError, match="truncated"):
+            SliceFrontier.from_bytes(data[:cut])
+    with pytest.raises(ValueError, match="trailing"):
+        SliceFrontier.from_bytes(data + b"\0")

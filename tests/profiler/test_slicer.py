@@ -346,15 +346,18 @@ def test_reason_summary_matches_slice_size():
     assert sum(summary.values()) == result.slice_size()
 
 
-def test_track_reasons_parallel_engine_agrees():
+def test_track_reasons_chained_epochs_agree():
     from repro.profiler import SlicerOptions
+    from repro.profiler.cdg import build_index
+
+    from .epoch_chain import chained_epoch_slice
 
     tracer, crit = _reasons_trace()
-    seq = slice_with(tracer, crit, options=SlicerOptions(track_reasons=True))
-    par = slice_with(
-        tracer, crit,
-        options=SlicerOptions(track_reasons=True),
-        engine="parallel", workers=1, epoch_size=4,
+    options = SlicerOptions(track_reasons=True)
+    seq = slice_with(tracer, crit, options=options)
+    store = tracer.store
+    chain = chained_epoch_slice(
+        store, build_index(store.forward()), crit, epoch_size=4, options=options
     )
-    assert bytes(par.flags) == bytes(seq.flags)
-    assert set(par.reasons) == set(seq.reasons)
+    assert bytes(chain.flags) == bytes(seq.flags)
+    assert set(chain.reasons) == set(seq.reasons)

@@ -1,4 +1,4 @@
-"""Differential testing: vectorized-v3 ≡ sequential-v2 ≡ parallel-v3.
+"""Differential testing: vectorized-v3 ≡ sequential-v2.
 
 Extends the engine trio of ``test_differential.py`` with the columnar
 pipeline: the same randomized traces are sliced by
@@ -7,8 +7,6 @@ pipeline: the same randomized traces are sliced by
   semantics),
 * the vectorized array-join closure over the **columnar trace** with its
   precomputed slice index (``profiler/vectorized.py``),
-* the epoch-sharded parallel fixpoint fed **columnar epoch views**
-  (``profiler/parallel.py`` over ``ColumnarTrace.span``),
 
 and must produce identical sliced-record sets, identical join reasons
 (``track_reasons``), and identical unnecessary-computation category
@@ -20,8 +18,6 @@ assertion message; ``random_trace(seed)`` reproduces the trace exactly.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -35,7 +31,7 @@ from repro.profiler.criteria import (
     pixel_criteria,
     syscall_criteria,
 )
-from repro.profiler.parallel import ParallelSlicer
+from repro.profiler.epoch import reconstruct_timeline
 from repro.profiler.slicer import BackwardSlicer, SlicerOptions
 from repro.profiler.vectorized import VectorizedSlicer, attach_index
 from repro.trace.columnar import ColumnarTrace
@@ -44,10 +40,6 @@ from repro.workloads.fuzz import random_trace
 
 # 60 seeds x up to 3 criteria = up to 180 randomized differential runs.
 SEEDS = range(60)
-
-#: worker count used for the in-test parallel runs; CI overrides this to
-#: exercise both the inline path (1) and real process pools (4).
-WORKERS = int(os.environ.get("REPRO_SLICER_WORKERS", "1"))
 
 #: every sliced record carries a join reason in these runs, so reason
 #: maps are compared for full equality (kind and detail).
@@ -66,11 +58,10 @@ def _diff_indices(a, b, limit=10):
     return [i for i, (x, y) in enumerate(zip(a, b)) if x != y][:limit]
 
 
-def _assert_equivalent(store, seed, *, workers=WORKERS, epoch_size=None,
-                       options=REASONS):
+def _assert_equivalent(store, seed, *, options=REASONS):
     # Sanitize first: a malformed trace would make any slicer agreement
     # (or disagreement) meaningless.
-    lint_or_raise(store, epoch_size=epoch_size or 4096)
+    lint_or_raise(store)
     cols = ColumnarTrace.from_store(store)
     attach_index(cols)
     cdi = build_index(store.forward())
@@ -78,17 +69,9 @@ def _assert_equivalent(store, seed, *, workers=WORKERS, epoch_size=None,
         label = f"seed={seed} criteria={criteria.name}"
         seq = BackwardSlicer(store, cdi, criteria, options=options).run()
         vec = VectorizedSlicer(cols, cdi, criteria, options=options).run()
-        par = ParallelSlicer(
-            cols, cdi, criteria, workers=workers, epoch_size=epoch_size,
-            options=options,
-        ).run()
         assert bytes(vec.flags) == bytes(seq.flags), (
             f"vectorized != sequential for {label}; "
             f"first diffs at {_diff_indices(seq.flags, vec.flags)}"
-        )
-        assert bytes(par.flags) == bytes(seq.flags), (
-            f"parallel-columnar != sequential for {label}; "
-            f"first diffs at {_diff_indices(seq.flags, par.flags)}"
         )
         if options.track_reasons:
             assert vec.reasons == seq.reasons, (
@@ -104,15 +87,7 @@ def _assert_equivalent(store, seed, *, workers=WORKERS, epoch_size=None,
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_traces_vectorized_agrees(seed):
     store = random_trace(seed, target_records=1_500 + 100 * (seed % 7))
-    # Small epochs force many frontier hand-offs in the parallel runs.
-    _assert_equivalent(store, seed, epoch_size=128 + 13 * (seed % 5))
-
-
-@pytest.mark.parametrize("seed", (0, 1, 2))
-def test_random_traces_with_process_pool(seed):
-    """A few seeds through real worker processes over columnar views."""
-    store = random_trace(seed + 2000, target_records=4_000)
-    _assert_equivalent(store, seed + 2000, workers=4, epoch_size=512)
+    _assert_equivalent(store, seed)
 
 
 @pytest.mark.parametrize(
@@ -133,7 +108,7 @@ def test_ablation_options_agree(seed, options):
     """The ablation switches reroute the vectorized engine off the stored
     edge list onto freshly built joins; results must not change."""
     store = random_trace(seed, target_records=2_000)
-    _assert_equivalent(store, seed, epoch_size=256, options=options)
+    _assert_equivalent(store, seed, options=options)
 
 
 @pytest.mark.parametrize("seed", (6, 28))
@@ -178,9 +153,9 @@ def test_vectorized_accepts_row_store():
 
 
 def test_timeline_matches_parallel_reconstruction():
-    """The vectorized timeline uses the same flags-reconstruction as the
-    parallel engine: identical samples, and the final sample (the one the
-    figures consume) equals the sequential count."""
+    """The vectorized timeline is :func:`.epoch.reconstruct_timeline`
+    over the final flags: identical samples, and the final sample (the
+    one the figures consume) equals the sequential count."""
     store = random_trace(42, target_records=3_000)
     cols = ColumnarTrace.from_store(store)
     attach_index(cols)
@@ -188,8 +163,10 @@ def test_timeline_matches_parallel_reconstruction():
     crit = pixel_criteria(store)
     seq = BackwardSlicer(store, cdi, crit, sample_every=500).run()
     vec = VectorizedSlicer(cols, cdi, crit, sample_every=500).run()
-    par = ParallelSlicer(store, cdi, crit, workers=1, sample_every=500).run()
-    assert vec.timeline == par.timeline
+    rows = reconstruct_timeline(
+        store.records(), seq.flags, 500, store.metadata.main_thread_id()
+    )
+    assert vec.timeline == rows
     assert vec.timeline[-1] == seq.timeline[-1]
 
 

@@ -23,7 +23,7 @@ def test_cache_key_covers_every_addressing_dimension():
     variants = [
         cache_key("cd" * 32, "pixels", "sequential", frame=None, version="v1"),
         cache_key(_DIGEST, "syscalls", "sequential", frame=None, version="v1"),
-        cache_key(_DIGEST, "pixels", "parallel", frame=None, version="v1"),
+        cache_key(_DIGEST, "pixels", "vectorized", frame=None, version="v1"),
         cache_key(_DIGEST, "pixels", "sequential", frame=0, version="v1"),
         cache_key(_DIGEST, "pixels", "sequential", frame=None, version="v2"),
     ]

@@ -23,7 +23,7 @@ NOWHERE = "unix:/tmp/no-such-repro-daemon.sock"
         "--engine=",
         "--criteria=vibes",
         "--frame=notanint",
-        "--slicer-workers=many",
+        "--engine=parallel",
         "--timeout=soon",
     ],
 )
@@ -70,6 +70,7 @@ def test_invalid_engine_with_upload_exits_2_before_bytes_move(
         ["loadtest", "--surprise=1"],
         ["frobnicate"],
         [],
+        ["submit", f"--socket={NOWHERE}", "--workload=wiki_article", "--slicer-workers=4"],
     ],
 )
 def test_malformed_invocations_exit_2(argv, capsys):

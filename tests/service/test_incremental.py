@@ -95,7 +95,29 @@ def test_checkpoint_dir_round_trip_via_execute_job(frame_trace_path, tmp_path):
     assert warm["engine_stats"]["checkpoint"] == "warm"
 
 
-def test_torn_checkpoint_file_rebuilds_cold(frame_trace_path, tmp_path):
+def _tear(data):
+    return data[:40]
+
+
+def _flip_frontier_count_bit(data):
+    """Flip the top bit of a memo entry frontier's live-cell count,
+    keeping the container framing intact."""
+    import dataclasses
+
+    from repro.trace.checkpoint import CheckpointImage
+
+    image = CheckpointImage.from_bytes(data)
+    index, memo = min(image.memos.items())
+    entry = bytearray(memo.entry)
+    entry[3] ^= 0x80
+    image.memos[index] = dataclasses.replace(memo, entry=bytes(entry))
+    return image.to_bytes()
+
+
+@pytest.mark.parametrize(
+    "damage", (_tear, _flip_frontier_count_bit), ids=("torn", "frontier-bit-flip")
+)
+def test_torn_checkpoint_file_rebuilds_cold(frame_trace_path, tmp_path, damage):
     import dataclasses
 
     ckpt_dir = tmp_path / "ck"
@@ -104,9 +126,11 @@ def test_torn_checkpoint_file_rebuilds_cold(frame_trace_path, tmp_path):
     )
     execute_job(spec)
     (ckpt_file,) = ckpt_dir.iterdir()
-    ckpt_file.write_bytes(ckpt_file.read_bytes()[:40])  # tear it
+    ckpt_file.write_bytes(damage(ckpt_file.read_bytes()))
     again = execute_job(dataclasses.replace(spec, frame=1))
     assert again["engine_stats"]["checkpoint"] == "cold"
+    reference = execute_job(_frame_spec(frame_trace_path, 1, engine="sequential"))
+    assert again["flags_sha256"] == reference["flags_sha256"]
 
 
 def test_fingerprint_ignores_checkpoint_dir(frame_trace_path):

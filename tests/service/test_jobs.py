@@ -31,7 +31,7 @@ def test_validate_requires_exactly_one_target():
         (dict(workload="no_such"), "unknown workload"),
         (dict(workload="bing", criteria="colors"), "unknown criteria"),
         (dict(workload="bing", engine="turbo"), "unknown engine"),
-        (dict(workload="bing", workers=0), "workers must be >= 1"),
+        (dict(workload="bing", engine="parallel"), "unknown engine"),
         (dict(workload="bing", frame=-1), "frame must be >= 0"),
         (dict(workload="bing", timeout_s=0), "timeout_s must be positive"),
         (dict(workload="bing", fault="explode"), "unknown fault"),
@@ -45,12 +45,14 @@ def test_validate_rejects_bad_fields(kwargs, match):
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(SpecError, match="unknown job-spec field"):
         JobSpec.from_dict({"workload": "bing", "priority": 9})
+    with pytest.raises(SpecError, match=r"unknown job-spec field\(s\): workers"):
+        JobSpec.from_dict({"workload": "bing", "workers": 2})
     with pytest.raises(SpecError, match="must be an object"):
         JobSpec.from_dict(["bing"])
 
 
 def test_from_dict_round_trips_to_dict():
-    spec = JobSpec(workload="bing", criteria="syscalls", engine="parallel", workers=2)
+    spec = JobSpec(workload="bing", criteria="syscalls", engine="incremental", frame=2)
     assert JobSpec.from_dict(spec.to_dict()) == spec
 
 

@@ -15,7 +15,7 @@ from repro.trace import (
     load_trace,
     save_trace,
 )
-from repro.trace.store import _RecordWalker, iter_trace_epochs, serialize_trace
+from repro.trace.store import _RecordWalker, serialize_trace
 from repro.trace.stream import open_epoch_stream
 from repro.workloads import TABLE2_BENCHMARKS, benchmark
 from repro.workloads.fuzz import random_frame_trace, random_sync_trace, random_trace
@@ -127,7 +127,6 @@ def _stream_everything(path):
 #: every reader of a UCWA2 file image, each driven to completion
 READERS = {
     "load_trace": load_trace,
-    "iter_trace_epochs": lambda path: list(iter_trace_epochs(path, 4)),
     "open_epoch_stream": _stream_everything,
 }
 

@@ -104,22 +104,23 @@ def test_cli_slice_rejects_unknown_engine(saved_trace, capsys):
     assert trace_main(["slice", str(path), "--engine=turbo"]) == 2
     out = capsys.readouterr().out
     assert "unknown engine 'turbo'" in out
-    assert "sequential" in out and "parallel" in out
+    assert "sequential" in out and "vectorized" in out
 
 
-@pytest.mark.parametrize("workers", ("0", "-3"))
-def test_cli_slice_rejects_non_positive_workers(saved_trace, workers, capsys):
+@pytest.mark.parametrize(
+    "option, message",
+    (
+        ("--engine=parallel", "unknown engine 'parallel'"),
+        ("--workers=4", "unknown option '--workers=4'"),
+    ),
+    ids=("--engine=parallel", "--workers=4"),
+)
+def test_cli_slice_rejects_removed_options(saved_trace, option, message, capsys):
+    """The parallel engine and its worker count are gone: asking for
+    either exits 2 before anything is sliced."""
     _, path = saved_trace
-    assert trace_main(["slice", str(path), f"--workers={workers}"]) == 2
-    out = capsys.readouterr().out
-    assert "--workers must be >= 1" in out
-
-
-def test_cli_slice_rejects_non_integer_workers(saved_trace, capsys):
-    _, path = saved_trace
-    assert trace_main(["slice", str(path), "--workers=many"]) == 2
-    out = capsys.readouterr().out
-    assert "--workers expects an integer" in out
+    assert trace_main(["slice", str(path), option]) == 2
+    assert message in capsys.readouterr().out
 
 
 def test_cli_lint_on_real_trace(saved_trace, capsys):
