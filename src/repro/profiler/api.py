@@ -51,24 +51,23 @@ def resolve_engine(
 ) -> str:
     """The engine ``engine="auto"`` runs for this trace and request.
 
+    * ``"sequential"``, the reference engine, when the request samples a
+      timeline or tracks join reasons: only it returns them;
     * ``"incremental"`` when the caller passes a checkpoint: it asked for
       that state to be used and extended;
     * ``"vectorized"`` when the trace is a columnar trace carrying a
-      stored slice index, the options are the defaults and no timeline is
-      sampled — exactly the requests whose result matches the sequential
-      engine's in every field, answered from the stored index without a
-      forward pass or a single record object;
-    * ``"sequential"``, the reference engine, otherwise.
+      stored slice index and the options are the defaults — answered
+      from the stored index without a forward pass or a single record
+      object;
+    * ``"sequential"`` otherwise.
     """
+    if sample_every or options.track_reasons:
+        return "sequential"
     if checkpoint is not None:
         return "incremental"
     # The attribute test comes first so a row store never imports the
     # numpy-backed columnar module.
-    if (
-        getattr(store, "index", None) is not None
-        and options == DEFAULT_OPTIONS
-        and not sample_every
-    ):
+    if getattr(store, "index", None) is not None and options == DEFAULT_OPTIONS:
         from ..trace.columnar import ColumnarTrace
 
         if isinstance(store, ColumnarTrace):
@@ -133,11 +132,21 @@ class Profiler:
         ``"incremental"`` (frame-region memoization against a checkpoint;
         see ``docs/incremental-slicing.md``).  All produce identical
         sliced-record sets, and every engine names itself in
-        ``result.engine_stats["engine"]``.  ``checkpoint`` overrides the
+        ``result.engine_stats["engine"]``.  Only ``"sequential"`` returns
+        a timeline (``sample_every``) and join reasons
+        (``options.track_reasons``); the other two raise ``ValueError``
+        when asked for either.  ``checkpoint`` overrides the
         profiler-lifetime checkpoint (incremental engine only).
         """
         if engine == "auto":
             engine = resolve_engine(self._store, options, sample_every, checkpoint)
+        elif engine in ("vectorized", "incremental") and (
+            sample_every or options.track_reasons
+        ):
+            raise ValueError(
+                f"engine {engine!r} returns flags only; timelines and join "
+                f"reasons need engine='sequential'"
+            )
         if engine == "sequential":
             slicer = BackwardSlicer(
                 self._store,
@@ -158,8 +167,6 @@ class Profiler:
                 self._store,
                 self._cdi,
                 criteria,
-                sample_every=sample_every,
-                main_tid=main_tid,
                 options=options,
                 cdi_provider=self.control_dependence_index,
             ).run()
@@ -173,8 +180,6 @@ class Profiler:
                 checkpoint=(
                     checkpoint if checkpoint is not None else self.slice_checkpoint()
                 ),
-                sample_every=sample_every,
-                main_tid=main_tid,
                 options=options,
             ).run()
         raise ValueError(

@@ -1,24 +1,26 @@
-"""Epoch core of the backward pass: frontiers and per-epoch transfer.
+"""The backward pass: frontiers and the one per-record walk.
 
-The sequential backward pass (:mod:`.slicer`) walks the whole trace from
-the end to the beginning carrying four pieces of state: the shared live
-memory set, per-thread live registers, per-thread pending branches, and
+:func:`run_epoch` is the only code that applies the liveness rules of
+paper Section III-B.  The backward pass carries four pieces of state
+from the end of the trace toward its beginning: the shared live memory
+set, per-thread live registers, per-thread pending branches, and
 per-thread reconstructed frame stacks.  That state only ever flows
 *backward* (from higher record indices to lower ones), so the pass
 factors into a chain of **epochs** ``[lo, hi)``: :func:`run_epoch` runs
 one epoch from its **entry frontier** (the slicer state in force just
 after record ``hi - 1``) and returns its flags plus its **exit
 frontier** (the state just before ``lo``), which is the entry frontier
-of the epoch before it.  Chaining every epoch from the trace tail,
-starting from the empty frontier, reproduces the sequential pass
-exactly.
+of the epoch before it.
 
-The incremental engine (:mod:`.incremental`) runs this chain over the
-frame-region tiling and memoizes each region's run;
-:func:`try_pass_through` decides when a memoized run stays valid under a
-larger entry frontier.  :class:`SliceFrontier` serializes to a flat
-``struct``-packed byte string, which is how ``.ckpt`` sidecars store
-frontiers.  The exactness argument is in ``docs/incremental-slicing.md``.
+The sequential engine (:class:`.slicer.BackwardSlicer`) is one epoch,
+``[0, n)`` from the empty frontier, and is the only caller that asks for
+Figure-4 timeline samples.  The incremental engine (:mod:`.incremental`)
+chains epochs over the frame-region tiling and memoizes each region's
+run; :func:`try_pass_through` decides when a memoized run stays valid
+under a larger entry frontier.  :class:`SliceFrontier` serializes to a
+flat ``struct``-packed byte string, which is how ``.ckpt`` sidecars
+store frontiers.  The exactness argument is in
+``docs/incremental-slicing.md``.
 """
 
 from __future__ import annotations
@@ -184,8 +186,7 @@ _EMPTY_FRONTIER = SliceFrontier()
 
 
 class _Frame:
-    """Mutable frame used while running an epoch (mirrors the sequential
-    slicer's ``_BackwardFrame``, plus frontier round-tripping)."""
+    """A function invocation reconstructed while walking backward."""
 
     __slots__ = ("fn", "ret_index", "needed", "is_root")
 
@@ -227,6 +228,8 @@ class EpochResult:
     min_depth: Dict[int, int]
     #: join reasons (absolute record indices) when tracking was requested
     reasons: Optional[Dict[int, Tuple[str, int]]] = None
+    #: Figure-4 progress samples when ``sample_every`` was given
+    timeline: List[TimelineSample] = field(default_factory=list)
 
 
 @dataclass
@@ -275,14 +278,17 @@ def run_epoch(
     window_end: Optional[int],
     deps_of,
     options: SlicerOptions = DEFAULT_OPTIONS,
+    sample_every: Optional[int] = None,
+    main_tid: Optional[int] = None,
 ) -> EpochResult:
     """Run the backward pass over records ``[lo, hi)`` from ``frontier``.
 
-    This is the per-record algorithm of :class:`.slicer.BackwardSlicer`
-    restricted to one epoch: identical join rules, identical gen/kill
-    order, identical frame reconstruction.  The only differences are the
-    seeded entry state and that retroactive RET flags beyond ``hi`` are
-    reported in ``extra`` instead of being written directly.
+    Retroactive RET flags beyond ``hi`` are reported in ``extra`` instead
+    of being written directly.  With ``sample_every``, a timeline sample
+    is taken after every ``sample_every`` visited records and once more
+    at the end.  A sample counts the records visited and the flags set so
+    far (those of thread ``main_tid`` separately); a RET that joins
+    retroactively counts when its CALL is visited.
     """
     flags = bytearray(hi - lo)
     extra: List[Tuple[int, int]] = []
@@ -297,6 +303,10 @@ def run_epoch(
         {} if options.track_reasons else None
     )
     call_site_dependences = options.call_site_dependences
+    timeline: List[TimelineSample] = []
+    in_slice_count = 0
+    processed_main = 0
+    in_slice_main = 0
 
     RET = InstrKind.RET
     CALL = InstrKind.CALL
@@ -306,6 +316,8 @@ def run_epoch(
     for i in range(hi - 1, lo - 1, -1):
         rec = records[i]
         tid = rec.tid
+        if tid == main_tid:
+            processed_main += 1
 
         crit = crit_by_index.get(i)
         if crit is not None:
@@ -320,6 +332,10 @@ def run_epoch(
         kind = rec.kind
         if kind == RET:
             stack.append(_Frame(rec.fn, ret_index=i))
+            if sample_every and (hi - i) % sample_every == 0:
+                timeline.append(
+                    TimelineSample(hi - i, in_slice_count, processed_main, in_slice_main)
+                )
             continue
 
         if not stack:
@@ -349,7 +365,12 @@ def run_epoch(
                         extra.append((ret_index, callee.fn))
                     elif not flags[ret_index - lo]:
                         flags[ret_index - lo] = 1
+                        in_slice_count += 1
+                        if tid == main_tid:
+                            in_slice_main += 1
                         if reasons is not None:
+                            # Without this entry the per-kind reason counts
+                            # would not sum to the slice size.
                             reasons[ret_index] = ("call", callee.fn)
             if not stack:
                 stack.append(_Frame(rec.fn, ret_index=None, is_root=True))
@@ -400,13 +421,26 @@ def run_epoch(
                 reasons[i] = reason
             if not flags[i - lo]:
                 flags[i - lo] = 1
+                in_slice_count += 1
+                if tid == main_tid:
+                    in_slice_main += 1
 
+        if sample_every and (hi - i) % sample_every == 0:
+            timeline.append(
+                TimelineSample(hi - i, in_slice_count, processed_main, in_slice_main)
+            )
+
+    if sample_every:
+        timeline.append(
+            TimelineSample(hi - lo, in_slice_count, processed_main, in_slice_main)
+        )
     return EpochResult(
         flags=bytes(flags),
         extra=tuple(extra),
         frontier=SliceFrontier.from_state(live_mem, live_regs, pending, stacks),
         min_depth=min_depth,
         reasons=reasons,
+        timeline=timeline,
     )
 
 
@@ -561,39 +595,3 @@ class _EpochView:
 
     def __getitem__(self, i: int) -> TraceRecord:
         return self.recs[i - self.lo]
-
-
-def reconstruct_timeline(
-    records: Sequence[TraceRecord],
-    flags: bytearray,
-    sample_every: int,
-    main_tid: Optional[int],
-) -> List[TimelineSample]:
-    """Rebuild Figure-4 timeline samples from the final flags.
-
-    The sequential engine counts a retroactively-flagged RET when its
-    CALL is processed; this reconstruction counts every record when it
-    is visited, so intermediate samples can differ by the number of
-    not-yet-paired RETs.  The final sample is identical.  Used by the
-    incremental engine on row stores.
-    """
-    samples: List[TimelineSample] = []
-    processed = 0
-    in_slice = 0
-    processed_main = 0
-    in_slice_main = 0
-    for i in range(len(records) - 1, -1, -1):
-        flag = flags[i]
-        processed += 1
-        in_slice += flag
-        if records[i].tid == main_tid:
-            processed_main += 1
-            in_slice_main += flag
-        if processed % sample_every == 0:
-            samples.append(
-                TimelineSample(processed, in_slice, processed_main, in_slice_main)
-            )
-    samples.append(
-        TimelineSample(processed, in_slice, processed_main, in_slice_main)
-    )
-    return samples

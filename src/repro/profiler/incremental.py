@@ -27,10 +27,14 @@ being sliced.  Two reuse tiers apply, strongest first:
 
 Anything else re-runs the region (and refreshes the memo).  Regions
 holding criteria seeds — for a frame-windowed pixel slice, just the
-frame's own region — always run live.  The concatenation of region runs
-with exactly-threaded frontiers *is* the sequential pass, so the engine
-is byte-identical to :class:`~repro.profiler.slicer.BackwardSlicer`
-(enforced by the fuzz differential suite).
+frame's own region — always run live.  Every region run is a call of
+:func:`~repro.profiler.epoch.run_epoch`, the walk the sequential engine
+runs once over the whole trace, so the concatenation of region runs with
+exactly-threaded frontiers *is* the sequential pass and the flags are
+byte-identical to :class:`~repro.profiler.slicer.BackwardSlicer`
+(enforced by the fuzz differential suite).  The engine returns flags
+only: Figure-4 timelines and join reasons come from the sequential
+engine.
 
 For live streams, :class:`StreamingSliceSession` consumes
 :class:`~repro.trace.stream.FrameEpoch` objects in arrival order,
@@ -65,7 +69,6 @@ from .epoch import (
     EpochSummary,
     SliceFrontier,
     _EpochView,
-    reconstruct_timeline,
     run_epoch,
     summarize_epoch,
     try_pass_through,
@@ -300,16 +303,12 @@ class IncrementalSlicer:
         criteria: SlicingCriteria,
         checkpoint: Optional[SliceCheckpoint] = None,
         regions: Optional[Sequence[Region]] = None,
-        sample_every: Optional[int] = None,
-        main_tid: Optional[int] = None,
         options: SlicerOptions = DEFAULT_OPTIONS,
     ) -> None:
         self._store = store
         self._cdi = cdi
         self._criteria = criteria
         self._options = options
-        self._sample_every = sample_every
-        self._main_tid = main_tid
         self._n = len(store)
         if regions is None:
             regions = compute_regions(
@@ -371,20 +370,14 @@ class IncrementalSlicer:
         )
         deps_get = cd_map.get
         deps_of = lambda pc: deps_get(pc, ())  # noqa: E731
-        # Reasons replay needs every region live (a memoized run records
-        # flags but not per-record reasons), so memoization is bypassed.
-        memoize = not options.track_reasons
 
         flags = bytearray(n)
-        reasons: Optional[Dict[int, Tuple[str, int]]] = (
-            {} if options.track_reasons else None
-        )
         extras: List[Tuple[int, int]] = []
         frontier = SliceFrontier.empty()
 
         for region in reversed(self._regions):
             seeded = self._is_seeded(region, crit_indices)
-            if not seeded and memoize:
+            if not seeded:
                 memo = ckpt.memos.get(region.index)
                 if memo is not None:
                     if memo.entry == frontier:
@@ -426,8 +419,7 @@ class IncrementalSlicer:
             records = self._fetch(region)
             self.records_touched += region.n_records()
             ckpt.counters.records_touched += region.n_records()
-            if memoize:
-                ckpt.ensure_facts(region, records.recs)
+            ckpt.ensure_facts(region, records.recs)
             entry = frontier
             result = run_epoch(
                 records,
@@ -442,33 +434,26 @@ class IncrementalSlicer:
             )
             flags[region.lo : region.hi] = result.flags
             extras.extend(result.extra)
-            if reasons is not None and result.reasons:
-                reasons.update(result.reasons)
             if seeded:
                 self.seeded_runs += 1
                 ckpt.counters.seeded_runs += 1
             else:
                 self.region_runs += 1
                 ckpt.counters.region_runs += 1
-                if memoize:
-                    ckpt.memos[region.index] = RegionMemo(
-                        entry=entry,
-                        exit=result.frontier,
-                        flags=result.flags,
-                        extra=result.extra,
-                        min_depth=dict(result.min_depth),
-                    )
+                ckpt.memos[region.index] = RegionMemo(
+                    entry=entry,
+                    exit=result.frontier,
+                    flags=result.flags,
+                    extra=result.extra,
+                    min_depth=dict(result.min_depth),
+                )
             frontier = result.frontier
 
-        for ret_index, callee_fn in extras:
-            if not flags[ret_index]:
-                flags[ret_index] = 1
-                if reasons is not None:
-                    reasons[ret_index] = ("call", callee_fn)
+        for ret_index, _callee_fn in extras:
+            flags[ret_index] = 1
 
         result_out = SliceResult(criteria_name=criteria.name, flags=flags)
         result_out.visited = n
-        result_out.reasons = reasons
         result_out.engine_stats = {
             "engine": "incremental",
             "regions": len(self._regions),
@@ -479,24 +464,7 @@ class IncrementalSlicer:
             "records_touched": self.records_touched,
             "records_total": n,
         }
-        if self._sample_every:
-            result_out.timeline = self._timeline(flags)
         return result_out
-
-    def _timeline(self, flags: bytearray):
-        store = self._store
-        main_tid = self._main_tid
-        if main_tid is None and hasattr(store, "metadata"):
-            main_tid = store.metadata.main_thread_id()
-        if isinstance(store, TraceStore):
-            return reconstruct_timeline(
-                store.records(), flags, self._sample_every, main_tid
-            )
-        from .vectorized import reconstruct_timeline_columnar
-
-        return reconstruct_timeline_columnar(
-            store, flags, self._sample_every, main_tid
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -721,6 +689,27 @@ def checkpoint_path_for(digest: str, directory: Union[str, Path]) -> Path:
     written by one path warms all the others.
     """
     return Path(directory) / f"{digest[:32]}{CHECKPOINT_SUFFIX}"
+
+
+def open_checkpoint(
+    digest: str, directory: Union[str, Path]
+) -> Tuple[SliceCheckpoint, str, Path]:
+    """Load the persisted checkpoint of a trace digest, or start one.
+
+    Returns ``(checkpoint, state, path)``: ``state`` is ``"warm"`` when
+    the file at ``path`` (see :func:`checkpoint_path_for`) loaded, and
+    ``"cold"`` when it was missing or damaged, in which case the
+    checkpoint is empty and the slice recomputes from scratch.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = checkpoint_path_for(digest, directory)
+    if path.exists():
+        try:
+            return SliceCheckpoint.load(path), "warm", path
+        except ValueError:
+            pass  # torn/stale file: rebuild from scratch
+    return SliceCheckpoint(trace_digest=digest), "cold", path
 
 
 def stream_slice(

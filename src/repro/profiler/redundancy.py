@@ -149,11 +149,7 @@ def _stability_pass(store: TraceStore) -> Tuple[List[int], bytearray]:
     return prev_exec, stable
 
 
-def analyze_frames(
-    store: TraceStore,
-    sample_every: Optional[int] = None,
-    engine: str = "auto",
-) -> RedundancyReport:
+def analyze_frames(store: TraceStore, engine: str = "auto") -> RedundancyReport:
     """Per-frame pixel slices plus redundant/fresh classification.
 
     ``engine`` names the engine of every per-frame slice; the default
@@ -164,14 +160,11 @@ def analyze_frames(
     profiler's shared
     checkpoint, so each seedless region's backward run is paid once and
     later frames reuse it (same flags, byte for byte — the split is
-    engine-invariant).  ``sample_every`` is ignored for per-frame slices
-    (the classification never reads timelines, and reconstructing F of
-    them costs O(F·n)).
+    engine-invariant).
 
     Raises ``ValueError`` when the trace records no complete frame epochs
     (i.e. it predates the incremental pipeline's frame markers).
     """
-    del sample_every  # accepted for API compatibility; timelines unused
     spans = [span for span in store.frame_spans() if span.complete]
     if not spans:
         raise ValueError(

@@ -21,15 +21,18 @@ Data dependences are discovered by liveness analysis, exactly as in the
 paper: an instruction that writes a live location joins the slice, its
 writes are killed and its reads become live.  Because the trace carries
 exact addresses, there is no aliasing imprecision.
+
+The walk itself is :func:`repro.profiler.epoch.run_epoch`;
+:class:`BackwardSlicer` runs it once over the whole trace.  This module
+holds the types every engine shares: options, results and timeline
+samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..machine.syscalls import BY_NUMBER
-from ..trace.records import InstrKind
 from ..trace.store import TraceStore
 from .cdg import ControlDependenceIndex
 from .criteria import SlicingCriteria
@@ -116,20 +119,14 @@ class SliceResult:
         return [i for i, flag in enumerate(self.flags) if flag]
 
 
-class _BackwardFrame:
-    """A function invocation context reconstructed while walking backward."""
-
-    __slots__ = ("fn", "ret_index", "needed", "is_root")
-
-    def __init__(self, fn: int, ret_index: Optional[int], is_root: bool = False) -> None:
-        self.fn = fn
-        self.ret_index = ret_index
-        self.needed = False
-        self.is_root = is_root
-
-
 class BackwardSlicer:
-    """Runs the backward pass for one criteria set over one trace."""
+    """Runs the backward pass for one criteria set over one trace.
+
+    The reference engine: one :func:`.epoch.run_epoch` call over the
+    whole trace from the empty frontier.  It is the only engine that
+    returns Figure-4 timelines (``sample_every``) and join reasons
+    (``options.track_reasons``).
+    """
 
     def __init__(
         self,
@@ -149,168 +146,32 @@ class BackwardSlicer:
         self._main_tid = main_tid if main_tid is not None else meta_main
 
     def run(self) -> SliceResult:
-        store = self._store
-        records = store.records()
-        n = len(records)
-        flags = bytearray(n)
-        result = SliceResult(
-            criteria_name=self._criteria.name,
-            flags=flags,
+        from .epoch import SliceFrontier, run_epoch
+
+        records = self._store.records()
+        criteria = self._criteria
+        options = self._options
+        epoch = run_epoch(
+            records,
+            0,
+            len(records),
+            SliceFrontier.empty(),
+            criteria.by_index(),
+            criteria.include_syscalls,
+            criteria.window_end,
+            self._cdi.deps_of if options.control_dependences else (lambda pc: ()),
+            options,
+            sample_every=self._sample_every,
+            main_tid=self._main_tid,
+        )
+        return SliceResult(
+            criteria_name=criteria.name,
+            flags=bytearray(epoch.flags),
+            timeline=epoch.timeline,
+            visited=len(records),
+            reasons=epoch.reasons,
             engine_stats={"engine": "sequential"},
         )
-
-        crit_by_index = self._criteria.by_index()
-        include_syscalls = self._criteria.include_syscalls
-        window_end = self._criteria.window_end
-        options = self._options
-        deps_of = self._cdi.deps_of if options.control_dependences else (lambda pc: ())
-        reasons: Optional[Dict[int, Tuple[str, int]]] = (
-            {} if options.track_reasons else None
-        )
-        if reasons is not None:
-            result.reasons = reasons
-
-        live_mem: Set[int] = set()
-        live_regs: Dict[int, Set[int]] = {}
-        pending: Dict[int, Set[int]] = {}
-        stacks: Dict[int, List[_BackwardFrame]] = {}
-
-        processed = 0
-        in_slice_count = 0
-        processed_main = 0
-        in_slice_main = 0
-        main_tid = self._main_tid
-        sample_every = self._sample_every
-
-        for i in range(n - 1, -1, -1):
-            rec = records[i]
-            tid = rec.tid
-
-            # -- criteria seeding -------------------------------------- #
-            crit = crit_by_index.get(i)
-            if crit is not None:
-                live_mem.update(crit.cells)
-                for reg_tid, reg in crit.regs:
-                    live_regs.setdefault(reg_tid, set()).add(reg)
-
-            # -- backward frame reconstruction ------------------------- #
-            stack = stacks.setdefault(tid, [])
-            kind = rec.kind
-            if kind == InstrKind.RET:
-                stack.append(_BackwardFrame(rec.fn, ret_index=i))
-                processed += 1
-                if tid == main_tid:
-                    processed_main += 1
-                if sample_every and processed % sample_every == 0:
-                    result.timeline.append(
-                        TimelineSample(processed, in_slice_count, processed_main, in_slice_main)
-                    )
-                continue
-
-            if not stack:
-                stack.append(_BackwardFrame(rec.fn, ret_index=None, is_root=True))
-            elif stack[-1].fn != rec.fn and kind != InstrKind.CALL:
-                # Frame entered but never returned before trace truncation.
-                stack.append(_BackwardFrame(rec.fn, ret_index=None, is_root=True))
-
-            frame = stack[-1]
-            tregs = live_regs.get(tid)
-            tpending = pending.get(tid)
-
-            in_slice = False
-            reason: Tuple[str, int] = ("data", -1)
-
-            if kind == InstrKind.CALL:
-                # Close the callee frame (pushed when its RET was met, or a
-                # synthetic root for truncated invocations).
-                callee: Optional[_BackwardFrame] = None
-                if stack and (not stack[-1].is_root or stack[-1].fn != rec.fn):
-                    callee = stack.pop()
-                if callee is not None and callee.needed and options.call_site_dependences:
-                    in_slice = True
-                    reason = ("call", callee.fn)
-                    if callee.ret_index is not None and not flags[callee.ret_index]:
-                        flags[callee.ret_index] = 1
-                        in_slice_count += 1
-                        if tid == main_tid:
-                            in_slice_main += 1
-                        if reasons is not None:
-                            # The RET joins retroactively, paired with this
-                            # CALL; without a reason entry here the reason
-                            # counts would not sum to the slice size.
-                            reasons[callee.ret_index] = ("call", callee.fn)
-                # The frame the CALL itself belongs to:
-                if not stack:
-                    stack.append(_BackwardFrame(rec.fn, ret_index=None, is_root=True))
-                frame = stack[-1]
-            elif kind == InstrKind.BRANCH:
-                if tpending and rec.pc in tpending:
-                    in_slice = True
-                    reason = ("control", rec.pc)
-                    tpending.discard(rec.pc)
-            elif kind == InstrKind.SYSCALL:
-                if include_syscalls and (window_end is None or i <= window_end):
-                    in_slice = True
-                    reason = ("syscall", rec.syscall or 0)
-
-            # -- liveness rule (data dependences) ---------------------- #
-            if not in_slice:
-                for addr in rec.mem_written:
-                    if addr in live_mem:
-                        in_slice = True
-                        reason = ("data", addr)
-                        break
-                if not in_slice and tregs:
-                    for reg in rec.regs_written:
-                        if reg in tregs:
-                            in_slice = True
-                            reason = ("register", reg)
-                            break
-
-            if in_slice:
-                # Kill definitions, gen uses.
-                if rec.mem_written:
-                    live_mem.difference_update(rec.mem_written)
-                if rec.regs_written:
-                    if tregs is None:
-                        tregs = live_regs.setdefault(tid, set())
-                    tregs.difference_update(rec.regs_written)
-                if rec.mem_read:
-                    live_mem.update(rec.mem_read)
-                if rec.regs_read:
-                    if tregs is None:
-                        tregs = live_regs.setdefault(tid, set())
-                    tregs.update(rec.regs_read)
-                # Control dependences become pending.
-                cdeps = deps_of(rec.pc)
-                if cdeps:
-                    if tpending is None:
-                        tpending = pending.setdefault(tid, set())
-                    tpending.update(cdeps)
-                # Dynamic call-site dependence: this invocation is useful.
-                frame.needed = True
-                if reasons is not None:
-                    reasons[i] = reason
-                if not flags[i]:
-                    flags[i] = 1
-                    in_slice_count += 1
-                    if tid == main_tid:
-                        in_slice_main += 1
-
-            processed += 1
-            if tid == main_tid:
-                processed_main += 1
-            if sample_every and processed % sample_every == 0:
-                result.timeline.append(
-                    TimelineSample(processed, in_slice_count, processed_main, in_slice_main)
-                )
-
-        result.visited = processed
-        if sample_every:
-            result.timeline.append(
-                TimelineSample(processed, in_slice_count, processed_main, in_slice_main)
-            )
-        return result
 
 
 def slice_trace(

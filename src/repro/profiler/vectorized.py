@@ -25,11 +25,9 @@ then skips straight to the sweep.
 
 Equivalence with the liveness formulation is argued in
 :mod:`.oracle` and enforced by ``tests/profiler/test_vectorized_differential.py``
-(byte-identical flags, categories, and join reasons across engines).
-Join *reasons* (``track_reasons``) are reproduced by a sparse replay of
-the liveness pass that visits only sliced records and criteria points —
-the live sets are mutated exclusively by records in the slice, so the
-replay's state matches the full sequential walk at every visited index.
+(byte-identical flags and categories across engines).  The engine
+returns flags only: Figure-4 timelines and join reasons come from the
+sequential engine.
 """
 
 from __future__ import annotations
@@ -40,15 +38,9 @@ import numpy as np
 
 from ..trace.columnar import ColumnarTrace, SliceIndex
 from ..trace.records import InstrKind
-from ..trace.store import TraceStore
 from .cdg import ControlDependenceIndex
 from .criteria import SlicingCriteria
-from .slicer import (
-    DEFAULT_OPTIONS,
-    SliceResult,
-    SlicerOptions,
-    TimelineSample,
-)
+from .slicer import DEFAULT_OPTIONS, SliceResult, SlicerOptions
 
 _RET = int(InstrKind.RET)
 _CALL = int(InstrKind.CALL)
@@ -326,7 +318,7 @@ def attach_index(cols: ColumnarTrace) -> SliceIndex:
 
 
 # --------------------------------------------------------------------- #
-# Seeds, closure, reasons, timeline                                     #
+# Seeds, closure, RET post-pass                                         #
 # --------------------------------------------------------------------- #
 
 
@@ -443,12 +435,11 @@ def _flag_needed_rets(
     inv_id: np.ndarray,
     inv_call: np.ndarray,
     inv_ret: np.ndarray,
-) -> np.ndarray:
+) -> None:
     """Flag the RET of every needed invocation that has a CALL in trace.
 
     RETs never generate dependences of their own (the streaming pass
-    skips them before gen/kill), so this is a pure post-pass.  Returns
-    the needed-invocation id array (reused by the reasons replay).
+    skips them before gen/kill), so this is a pure post-pass.
     """
     flagged = np.frombuffer(bytes(flags), np.uint8).astype(bool)
     needed = np.unique(inv_id[np.nonzero(flagged & notret)[0]])
@@ -457,140 +448,6 @@ def _flag_needed_rets(
     rets = rets[(rets >= 0) & (inv_call[needed] >= 0)]
     for r in rets.tolist():
         flags[r] = 1
-    return needed
-
-
-def _replay_reasons(
-    cols: ColumnarTrace,
-    flags: bytearray,
-    crit_by_index: Dict[int, object],
-    include_syscalls: bool,
-    window_end: Optional[int],
-    deps_of,
-    options: SlicerOptions,
-    inv_id: np.ndarray,
-    inv_call: np.ndarray,
-    inv_ret: np.ndarray,
-    inv_fn: np.ndarray,
-    needed_invs: np.ndarray,
-) -> Dict[int, Tuple[str, int]]:
-    """Sparse backward replay assigning one join reason per sliced record.
-
-    The full sequential pass mutates its live sets only at records that
-    join the slice (plus criteria points), so replaying just those
-    indices in descending order reproduces the exact state — and thus the
-    exact reason precedence (call > control > syscall > data > register)
-    — the sequential engine saw at each sliced record.
-    """
-    n = len(cols)
-    flagged = np.frombuffer(bytes(flags), np.uint8)
-    visit = sorted(
-        set(np.nonzero(flagged)[0].tolist()) | set(crit_by_index.keys()),
-        reverse=True,
-    )
-    callee_of = np.full(n, -1, np.int64)
-    with_call = np.nonzero(inv_call >= 0)[0]
-    callee_of[inv_call[with_call]] = with_call
-    needed = np.zeros(len(inv_call), bool)
-    needed[needed_invs] = True
-    fns = cols.fn
-
-    reasons: Dict[int, Tuple[str, int]] = {}
-    live_mem: set = set()
-    live_regs: Dict[int, set] = {}
-    pending: Dict[int, set] = {}
-    call_site = options.call_site_dependences
-
-    for i in visit:
-        crit = crit_by_index.get(i)
-        if crit is not None:
-            live_mem.update(crit.cells)  # type: ignore[attr-defined]
-            for reg_tid, reg in crit.regs:  # type: ignore[attr-defined]
-                live_regs.setdefault(reg_tid, set()).add(reg)
-        if not flagged[i]:
-            continue
-        rec = cols[i]
-        if rec.kind == InstrKind.RET:
-            # Retroactively flagged with its CALL; carries the frame's fn.
-            reasons[i] = ("call", rec.fn)
-            continue
-        tid = rec.tid
-        reason: Optional[Tuple[str, int]] = None
-        if rec.kind == InstrKind.CALL and call_site:
-            callee = callee_of[i]
-            if callee >= 0 and needed[callee]:
-                ret = inv_ret[callee]
-                fn = int(fns[ret]) if ret >= 0 else int(inv_fn[callee])
-                reason = ("call", fn)
-        elif rec.kind == InstrKind.BRANCH:
-            tpending = pending.get(tid)
-            if tpending and rec.pc in tpending:
-                reason = ("control", rec.pc)
-                tpending.discard(rec.pc)
-        elif rec.kind == InstrKind.SYSCALL:
-            if include_syscalls and (window_end is None or i <= window_end):
-                reason = ("syscall", rec.syscall or 0)
-        if reason is None:
-            for addr in rec.mem_written:
-                if addr in live_mem:
-                    reason = ("data", addr)
-                    break
-        if reason is None:
-            tregs = live_regs.get(tid)
-            if tregs:
-                for reg in rec.regs_written:
-                    if reg in tregs:
-                        reason = ("register", reg)
-                        break
-        reasons[i] = reason if reason is not None else ("data", -1)
-        # gen/kill + pending, exactly as the sequential in-slice block
-        live_mem.difference_update(rec.mem_written)
-        tregs = live_regs.get(tid)
-        if tregs:
-            tregs.difference_update(rec.regs_written)
-        live_mem.update(rec.mem_read)
-        if rec.regs_read:
-            live_regs.setdefault(tid, set()).update(rec.regs_read)
-        cdeps = deps_of(rec.pc)
-        if cdeps:
-            pending.setdefault(tid, set()).update(cdeps)
-    return reasons
-
-
-def reconstruct_timeline_columnar(
-    cols: ColumnarTrace,
-    flags: bytearray,
-    sample_every: int,
-    main_tid: Optional[int],
-) -> List[TimelineSample]:
-    """Figure-4 timeline samples from the final flags, vectorized.
-
-    Matches :func:`.epoch.reconstruct_timeline`: every record counts
-    when visited (backward), so intermediate samples can differ from the
-    sequential engine's by not-yet-paired RETs, while the final sample
-    is identical.
-    """
-    n = len(cols)
-    if n == 0:
-        return [TimelineSample(0, 0, 0, 0)]
-    rev_flags = np.frombuffer(bytes(flags), np.uint8)[::-1].astype(np.int64)
-    if main_tid is None:
-        rev_main = np.zeros(n, np.int64)
-    else:
-        rev_main = (cols.tid == main_tid)[::-1].astype(np.int64)
-    cum_in = np.cumsum(rev_flags)
-    cum_pm = np.cumsum(rev_main)
-    cum_im = np.cumsum(rev_flags * rev_main)
-    samples = [
-        TimelineSample(
-            p, int(cum_in[p - 1]), int(cum_pm[p - 1]), int(cum_im[p - 1])
-        )
-        for p in range(sample_every, n + 1, sample_every)
-    ]
-    samples.append(
-        TimelineSample(n, int(cum_in[-1]), int(cum_pm[-1]), int(cum_im[-1]))
-    )
-    return samples
 
 
 # --------------------------------------------------------------------- #
@@ -604,8 +461,8 @@ class VectorizedSlicer:
     Accepts a :class:`ColumnarTrace` directly or converts a row store on
     entry.  ``cdi``/``cdi_provider`` supply the control-dependence index
     lazily: a trace carrying a stored slice index under default options
-    never needs it (the cold-path win), while ablations, index-less
-    traces, and ``track_reasons`` resolve it on demand.
+    never needs it (the cold-path win), while ablations and index-less
+    traces resolve it on demand.
     """
 
     def __init__(
@@ -613,8 +470,6 @@ class VectorizedSlicer:
         trace,
         cdi: Optional[ControlDependenceIndex] = None,
         criteria: Optional[SlicingCriteria] = None,
-        sample_every: Optional[int] = None,
-        main_tid: Optional[int] = None,
         options: SlicerOptions = DEFAULT_OPTIONS,
         cdi_provider=None,
     ) -> None:
@@ -628,9 +483,6 @@ class VectorizedSlicer:
         self._cdi = cdi
         self._cdi_provider = cdi_provider
         self._criteria = criteria
-        self._sample_every = sample_every
-        meta_main = self._cols.metadata.main_thread_id()
-        self._main_tid = main_tid if main_tid is not None else meta_main
         self._options = options
 
     def _cd_map(self) -> Dict[int, Tuple[int, ...]]:
@@ -659,9 +511,8 @@ class VectorizedSlicer:
             inv_id = index.inv_id
             inv_call = index.inv_call
             inv_ret = index.inv_ret
-            inv_fn = index.inv_fn
         else:
-            inv_id, inv_call, inv_ret, inv_fn = build_invocations(cols)
+            inv_id, inv_call, inv_ret, _inv_fn = build_invocations(cols)
         if index is not None and default_edges:
             src, tgt = index.edge_src, index.edge_tgt
             stored = True
@@ -675,38 +526,11 @@ class VectorizedSlicer:
             cols, crit_by_index, criteria.include_syscalls, criteria.window_end
         )
         flags = _closure(n, seeds.tolist(), src, tgt)
-        notret = cols.kind != _RET
         if options.call_site_dependences:
-            needed = _flag_needed_rets(flags, notret, inv_id, inv_call, inv_ret)
-        else:
-            needed = np.zeros(0, np.int64)
+            _flag_needed_rets(flags, cols.kind != _RET, inv_id, inv_call, inv_ret)
 
         result = SliceResult(criteria_name=criteria.name, flags=flags)
         result.visited = n
-        if options.track_reasons:
-            deps_of = (
-                (lambda pc, _get=self._cd_map().get: _get(pc, ()))
-                if options.control_dependences
-                else (lambda pc: ())
-            )
-            result.reasons = _replay_reasons(
-                cols,
-                flags,
-                crit_by_index,
-                criteria.include_syscalls,
-                criteria.window_end,
-                deps_of,
-                options,
-                inv_id,
-                inv_call,
-                inv_ret,
-                inv_fn,
-                needed,
-            )
-        if self._sample_every:
-            result.timeline = reconstruct_timeline_columnar(
-                cols, flags, self._sample_every, self._main_tid
-            )
         result.engine_stats = {
             "engine": "vectorized",
             "records": n,
@@ -715,16 +539,3 @@ class VectorizedSlicer:
             "stored_index": stored,
         }
         return result
-
-
-def vectorized_slice(
-    trace,
-    criteria: SlicingCriteria,
-    cdi: Optional[ControlDependenceIndex] = None,
-    sample_every: Optional[int] = None,
-    options: SlicerOptions = DEFAULT_OPTIONS,
-) -> SliceResult:
-    """One-call convenience mirroring :func:`.slicer.slice_trace`."""
-    return VectorizedSlicer(
-        trace, cdi, criteria, sample_every=sample_every, options=options
-    ).run()

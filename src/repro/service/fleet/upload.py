@@ -40,7 +40,7 @@ CHUNK_SIZE_DEFAULT = 256 * 1024
 #: above this is a protocol violation, not a tuning knob.
 MAX_CHUNK_BYTES = 8 * 1024 * 1024
 
-_UCWA_MAGICS = (b"UCWA1\n", b"UCWA2\n", b"UCWA3\n")
+_UCWA_MAGICS = (b"UCWA2\n", b"UCWA3\n")
 
 
 def upload_path(directory: Union[str, Path], digest: str) -> Path:

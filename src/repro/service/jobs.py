@@ -214,22 +214,11 @@ def execute_job(spec: JobSpec, attempt: int = 0) -> Dict[str, Any]:
     checkpoint_path = None
     checkpoint_state = None
     if spec.engine == "incremental" and spec.checkpoint_dir is not None:
-        from pathlib import Path
+        from ..profiler.incremental import open_checkpoint
 
-        from ..profiler.incremental import SliceCheckpoint, checkpoint_path_for
-
-        ckpt_dir = Path(spec.checkpoint_dir)
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-        checkpoint_path = checkpoint_path_for(digest, ckpt_dir)
-        if checkpoint_path.exists():
-            try:
-                checkpoint = SliceCheckpoint.load(checkpoint_path)
-                checkpoint_state = "warm"
-            except ValueError:
-                checkpoint = None  # torn/stale file: rebuild from scratch
-        if checkpoint is None:
-            checkpoint = SliceCheckpoint(trace_digest=digest)
-            checkpoint_state = "cold"
+        checkpoint, checkpoint_state, checkpoint_path = open_checkpoint(
+            digest, spec.checkpoint_dir
+        )
     result, stats = run_slice_job(
         store,
         criteria=spec.criteria,

@@ -547,11 +547,7 @@ class ProfilingServer:
         naming rule, so the streamed pass leaves later per-frame submits
         of the same digest warm.
         """
-        from ..profiler.incremental import (
-            SliceCheckpoint,
-            checkpoint_path_for,
-            stream_slice,
-        )
+        from ..profiler.incremental import open_checkpoint, stream_slice
 
         spec_data = dict(spec_data)
         spec_data["trace_ref"] = finished.digest
@@ -565,19 +561,9 @@ class ProfilingServer:
                 protocol.ERR_INVALID_SPEC,
                 f"stream slicing requires engine='incremental', got {spec.engine!r}",
             )
-        ckpt_dir = self._cache_dir / "checkpoints"
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-        ckpt_path = checkpoint_path_for(finished.digest, ckpt_dir)
-        checkpoint = None
-        checkpoint_state = "cold"
-        if ckpt_path.exists():
-            try:
-                checkpoint = SliceCheckpoint.load(ckpt_path)
-                checkpoint_state = "warm"
-            except ValueError:
-                checkpoint = None  # torn/stale file: rebuild from scratch
-        if checkpoint is None:
-            checkpoint = SliceCheckpoint(trace_digest=finished.digest)
+        checkpoint, checkpoint_state, ckpt_path = open_checkpoint(
+            finished.digest, self._cache_dir / "checkpoints"
+        )
         t0 = time.perf_counter()
         frames: List[Dict[str, Any]] = []
         import hashlib as _hashlib

@@ -17,7 +17,7 @@ trace (``--format=v3`` writes the columnar UCWA3 layout with a
 precomputed slice index; the default stays the row-oriented UCWA2); ``info``
 prints per-thread and symbol statistics; ``lint`` checks the sanitizer's
 well-formedness invariants (CALL/RET balance, use-before-def, lock
-discipline, marker clock, frame-epoch monotonicity, epoch tiling — see
+discipline, marker clock, frame-epoch monotonicity — see
 repro/trace/lint.py) and
 exits non-zero on any error-severity violation; ``--json`` emits the
 machine-readable report instead; ``--checkpoint=PATH`` additionally runs
@@ -110,7 +110,6 @@ def _info(path: str) -> int:
 
 def _lint(
     path: str,
-    epoch_size: int = 4096,
     as_json: bool = False,
     checkpoint_path: Optional[str] = None,
 ) -> int:
@@ -129,9 +128,7 @@ def _lint(
             print(f"error: cannot load checkpoint {checkpoint_path}: {err}",
                   file=sys.stderr)
             return 2
-    report = lint_trace(
-        load_any_trace(path), epoch_size=epoch_size, checkpoint=checkpoint
-    )
+    report = lint_trace(load_any_trace(path), checkpoint=checkpoint)
     if as_json:
         print(
             json.dumps(
@@ -176,7 +173,6 @@ def main(argv) -> int:
     if len(argv) >= 2 and argv[0] == "info":
         return _info(argv[1])
     if len(argv) >= 2 and argv[0] == "lint":
-        epoch_size = 4096
         as_json = False
         checkpoint_path: Optional[str] = None
         for opt in argv[2:]:
@@ -187,24 +183,10 @@ def main(argv) -> int:
                 if not checkpoint_path:
                     print("--checkpoint expects a path")
                     return 2
-            elif opt.startswith("--epoch-size="):
-                try:
-                    epoch_size = int(opt[len("--epoch-size="):])
-                except ValueError:
-                    print(f"--epoch-size expects an integer, got {opt!r}")
-                    return 2
-                if epoch_size < 1:
-                    print(f"--epoch-size must be >= 1, got {epoch_size}")
-                    return 2
             else:
                 print(f"unknown option {opt!r}")
                 return 2
-        return _lint(
-            argv[1],
-            epoch_size=epoch_size,
-            as_json=as_json,
-            checkpoint_path=checkpoint_path,
-        )
+        return _lint(argv[1], as_json=as_json, checkpoint_path=checkpoint_path)
     if len(argv) >= 2 and argv[0] == "slice":
         from ..profiler.criteria import criteria_names
 

@@ -1,6 +1,6 @@
 """UCWA3: columnar (struct-of-arrays) trace format.
 
-The row-oriented UCWA1/2 encodings interleave every record's fields, so
+The row-oriented UCWA2 encoding interleaves every record's fields, so
 any analysis pays full per-record Python decode costs even when it only
 needs one column.  UCWA3 stores the same logical trace as flat typed
 arrays — one array per fixed-width field, plus shared offset+value pools
@@ -639,7 +639,7 @@ def parse_columnar(buf, path: str = "<bytes>") -> ColumnarTrace:
     metadata = TraceMetadata()
     meta_off, meta_len = table[b"META"]
     meta = _Cursor(bytes(buf[meta_off : meta_off + meta_len]), label=path)
-    _read_metadata(meta, metadata, has_frames=True)
+    _read_metadata(meta, metadata)
 
     index: Optional[SliceIndex] = None
     if b"INVT" in table and b"EDGE" in table:

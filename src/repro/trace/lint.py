@@ -18,8 +18,6 @@ slicer produces quietly-wrong results.  Named checks:
 * ``monotone-marker-clock`` (error) — tile-marker metadata indices are
   strictly increasing, in range, and point at TILE_MARKER records whose
   pixel cells match the metadata side channel;
-* ``epoch-consistency`` (error) — ``store.epoch_bounds`` tiles the trace
-  exactly (contiguous, non-overlapping, full coverage);
 * ``ipc-use-before-def`` (error) — a record inside the IPC receive/flush
   frames (``ipc::ChannelMojo::OnMessageReceived`` / ``WriteToPipe``) reads
   a payload cell nothing ever wrote: a message consumed before any
@@ -65,7 +63,7 @@ from .records import (
     sync_event_of,
 )
 from .checkpoint import CheckpointImage
-from .store import TraceStore, epoch_bounds
+from .store import TraceStore
 from .stream import compute_regions, region_digest
 
 ERROR = "error"
@@ -78,7 +76,6 @@ CHECKS = (
     "register-use-before-def",
     "record-shape",
     "monotone-marker-clock",
-    "epoch-consistency",
     "ipc-use-before-def",
     "lock-discipline",
     "frame-epoch-monotonicity",
@@ -191,7 +188,6 @@ class _Collector:
 
 def lint_trace(
     store: TraceStore,
-    epoch_size: int = 4096,
     max_issues_per_check: int = 10,
     checkpoint: Optional[CheckpointImage] = None,
 ) -> LintReport:
@@ -466,27 +462,6 @@ def lint_trace(
                     where,
                 )
 
-    # -- epoch-consistency --------------------------------------------- #
-    bounds = epoch_bounds(len(store), epoch_size)
-    expected_lo = 0
-    for lo, hi in bounds:
-        if lo != expected_lo or hi <= lo:
-            out.add(
-                "epoch-consistency",
-                f"epoch [{lo}, {hi}) does not continue at {expected_lo}",
-            )
-        if hi - lo > epoch_size:
-            out.add(
-                "epoch-consistency",
-                f"epoch [{lo}, {hi}) exceeds epoch size {epoch_size}",
-            )
-        expected_lo = hi
-    if len(store) and expected_lo != len(store):
-        out.add(
-            "epoch-consistency",
-            f"epochs cover {expected_lo} of {len(store)} records",
-        )
-
     # -- checkpoint-consistency ----------------------------------------- #
     if checkpoint is not None:
         _check_checkpoint(store, checkpoint, out)
@@ -571,11 +546,10 @@ def _check_checkpoint(
 
 def lint_or_raise(
     store: TraceStore,
-    epoch_size: int = 4096,
     checkpoint: Optional[CheckpointImage] = None,
 ) -> LintReport:
     """Lint and raise :class:`TraceLintError` on any error-severity issue."""
-    report = lint_trace(store, epoch_size=epoch_size, checkpoint=checkpoint)
+    report = lint_trace(store, checkpoint=checkpoint)
     if not report.ok:
         raise TraceLintError(report)
     return report

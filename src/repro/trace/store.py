@@ -6,20 +6,19 @@ equivalent; :func:`save_trace` / :func:`load_trace` provide a durable binary
 round trip so traces can be collected once and profiled many times (the
 paper notes the computed CDG is likewise reusable across criteria).
 
-Three on-disk formats share the ``.ucwa`` extension:
+Two on-disk formats share the ``.ucwa`` extension:
 
-* **UCWA1** — records + symbols + metadata, no frame spans.
-* **UCWA2** — UCWA1 plus a frame-span metadata section.  This is the
-  *canonical* record-stream encoding: :func:`serialize_trace` always emits
-  it and :func:`trace_digest` hashes it, whatever format the trace was
-  loaded from.
+* **UCWA2** — records + symbols + metadata, including frame spans.  This
+  is the *canonical* record-stream encoding: :func:`serialize_trace`
+  always emits it and :func:`trace_digest` hashes it, whatever format the
+  trace was loaded from.
 * **UCWA3** — the columnar struct-of-arrays layout (:mod:`.columnar`),
   holding the same logical content plus optional derived index sections.
 
 :func:`load_any_trace` dispatches on the header; :func:`load_trace` reads
-the row-oriented v1/v2 encodings only.
+the row-oriented v2 encoding only.
 
-All v1/v2 parsing goes through one shared *section walker*
+All v2 parsing goes through one shared *section walker*
 (:class:`_RecordWalker`), one record decoder (:func:`_decode_records`) and
 its length-only twin (:func:`_skip_record`), so the full loader, the epoch
 streamer and the columnar ``META`` reader can never disagree about where
@@ -47,12 +46,10 @@ from typing import (
 from .records import FrameSpan, InstrKind, TraceRecord, TraceMetadata
 from .symbols import SymbolTable
 
-# Unnecessary Computations in Web Apps.  v2 appends a frame-span section to
-# the metadata (the incremental pipeline's frame epochs); v1 files are still
-# readable and simply have no frames.  v3 is the columnar format handled by
-# :mod:`repro.trace.columnar`.
+# Unnecessary Computations in Web Apps.  v2 ends the metadata with a
+# frame-span section (the incremental pipeline's frame epochs).  v3 is the
+# columnar format handled by :mod:`repro.trace.columnar`.
 _HEADER = b"UCWA2\n"
-_HEADER_V1 = b"UCWA1\n"
 _HEADER_V3 = b"UCWA3\n"
 #: A record's fixed fields and its regs-read count: tid, pc, kind, fn,
 #: syscall (-1 = none), marker id (-1 = none), number of registers read.
@@ -253,7 +250,7 @@ def file_digest(path: Union[str, Path]) -> str:
 
     For an on-disk job this is the cache-key digest: cheaper than parsing
     the trace, and any edit to the file (even a metadata-only one)
-    invalidates dependent cache entries.  Note a v1 file and its v2/v3
+    invalidates dependent cache entries.  Note a v2 file and its v3
     re-save hash differently — the digest addresses *bytes*, not the
     decoded record set (use :func:`trace_digest` for format-invariant
     identity).
@@ -480,7 +477,7 @@ def _skip_record(cur: _Cursor) -> None:
     cur.skip(8 * cur.take_int(_U16))
 
 
-def _read_metadata(cur: _Cursor, meta: TraceMetadata, has_frames: bool) -> None:
+def _read_metadata(cur: _Cursor, meta: TraceMetadata) -> None:
     """Decode the metadata tail (shared with the columnar ``META`` section)."""
     for _ in range(cur.take_int(_U16)):
         tid, length = cur.take(_THREAD_NAME)
@@ -490,21 +487,20 @@ def _read_metadata(cur: _Cursor, meta: TraceMetadata, has_frames: bool) -> None:
         meta.tile_buffers.append((index, cur.take_addrs()))
     load_idx = cur.take_int(_I64)
     meta.load_complete_index = None if load_idx < 0 else load_idx
-    if has_frames:
-        for _ in range(cur.take_int(_U32)):
-            frame_id, begin, end, length = cur.take(_FRAME_SPAN)
-            meta.frames.append(
-                FrameSpan(
-                    frame_id=frame_id,
-                    kind=cur.take_str(length),
-                    begin=begin,
-                    end=None if end < 0 else end,
-                )
+    for _ in range(cur.take_int(_U32)):
+        frame_id, begin, end, length = cur.take(_FRAME_SPAN)
+        meta.frames.append(
+            FrameSpan(
+                frame_id=frame_id,
+                kind=cur.take_str(length),
+                begin=begin,
+                end=None if end < 0 else end,
             )
+        )
 
 
 class _RecordWalker:
-    """Positioned view over a v1/v2 file image: one walker per section.
+    """Positioned view over a v2 file image: one walker per section.
 
     The walker owns all knowledge of section order (symbols, records,
     markers, metadata); :func:`load_trace` and the epoch streamer drive
@@ -512,16 +508,12 @@ class _RecordWalker:
     """
 
     def __init__(self, data: bytes, path: str) -> None:
-        if data.startswith(_HEADER):
-            self.has_frames = True
-        elif data.startswith(_HEADER_V1):
-            self.has_frames = False
-        elif data.startswith(_HEADER_V3):
+        if data.startswith(_HEADER_V3):
             raise ValueError(
                 f"{path}: UCWA3 columnar trace; use load_any_trace() or "
                 f"repro.trace.columnar.load_columnar()"
             )
-        else:
+        if not data.startswith(_HEADER):
             raise ValueError(f"{path}: not a UCWA trace file")
         self.path = path
         self.cur = _Cursor(data, label=str(path), pos=len(_HEADER))
@@ -545,11 +537,11 @@ class _RecordWalker:
         return [cur.take_str(cur.take_int(_U16)) for _ in range(cur.take_int(_U16))]
 
     def read_metadata(self, meta: TraceMetadata) -> None:
-        _read_metadata(self.cur, meta, self.has_frames)
+        _read_metadata(self.cur, meta)
 
 
 def load_trace(path: Union[str, Path]) -> TraceStore:
-    """Load a v1/v2 trace previously written by :func:`save_trace`.
+    """Load a v2 trace previously written by :func:`save_trace`.
 
     Malformed input — wrong header, truncated file, a length field that
     runs past the end, an unknown instruction kind, a marker id outside
@@ -572,7 +564,7 @@ def load_trace(path: Union[str, Path]) -> TraceStore:
 def load_any_trace(path: Union[str, Path]):
     """Load a trace of any UCWA format, dispatching on the header.
 
-    Returns a :class:`TraceStore` for v1/v2 files and a
+    Returns a :class:`TraceStore` for v2 files and a
     :class:`repro.trace.columnar.ColumnarTrace` for v3 files.  Both satisfy
     the trace API the profiler consumes (``forward()``, ``records()``,
     ``metadata``, ``symbols``, indexing), so callers can stay

@@ -14,7 +14,7 @@ monolithic record list.  This module owns that partition:
 
   - an in-memory ``TraceStore`` or mmap-backed ``ColumnarTrace`` (zero
     copies beyond the requested span);
-  - a UCWA1/UCWA2 file, decoded region by region from the file image
+  - a UCWA2 file, decoded region by region from the file image
     (only the encoded bytes stay resident, never the full record list —
     records decode to 10-50x their encoded size);
   - a UCWA3 file, which loads as a columnar trace (mmap-backed columns,
@@ -223,7 +223,7 @@ class _StoreStream(EpochStream):
 
 
 class _FileStreamV2(EpochStream):
-    """Stream over a UCWA1/UCWA2 file image.
+    """Stream over a UCWA2 file image.
 
     Decodes records region by region; only the encoded file bytes stay
     resident.  A stride of record byte-offsets (one per
@@ -273,7 +273,7 @@ def open_epoch_stream(
 ) -> EpochStream:
     """Open a streaming frame-epoch reader over any UCWA source.
 
-    ``source`` may be a path to a UCWA1/UCWA2/UCWA3 file, or an
+    ``source`` may be a path to a UCWA2/UCWA3 file, or an
     already-loaded ``TraceStore`` / ``ColumnarTrace``.
     """
     if isinstance(source, (str, Path)):

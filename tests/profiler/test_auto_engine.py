@@ -30,11 +30,20 @@ SOURCES = {
     "ucwa2-file": ("v2", {}, "sequential"),
     "ucwa3-index": ("v3", {}, "vectorized"),
     "ucwa3-no-index": ("v3-bare", {}, "sequential"),
-    # The next three start from the trace auto would otherwise run
+    # The next five start from the trace auto would otherwise run
     # vectorized, so each shows its own rule taking over.
     "checkpoint": ("v3", {"checkpoint": True}, "incremental"),
     "sample-every": ("v3", {"sample_every": 97}, "sequential"),
     "options": ("v3", {"options": SlicerOptions(track_reasons=True)}, "sequential"),
+    # Only the reference returns timelines and reasons, checkpoint or not.
+    "checkpoint+sample-every": (
+        "v3", {"checkpoint": True, "sample_every": 97}, "sequential",
+    ),
+    "checkpoint+reasons": (
+        "v3",
+        {"checkpoint": True, "options": SlicerOptions(track_reasons=True)},
+        "sequential",
+    ),
 }
 
 #: criteria family, and the frame it is windowed to (None: whole trace)
@@ -106,6 +115,10 @@ def test_resolve_engine_rules(traces):
         == "sequential"
     )
     assert resolve_engine(store, checkpoint=SliceCheckpoint()) == "incremental"
+    assert (
+        resolve_engine(store, checkpoint=SliceCheckpoint(), sample_every=5)
+        == "sequential"
+    )
     assert ENGINES[0] == "auto"
 
 

@@ -29,7 +29,7 @@ from repro.profiler.criteria import (
 )
 from repro.profiler.epoch import SliceFrontier
 from repro.profiler.oracle import OracleSlicer
-from repro.profiler.slicer import BackwardSlicer
+from repro.profiler.slicer import BackwardSlicer, SlicerOptions
 from repro.trace.lint import lint_or_raise
 from repro.workloads.fuzz import random_page, random_trace
 
@@ -37,6 +37,8 @@ from .epoch_chain import chained_epoch_slice
 
 # 60 seeds x 3 criteria = 180 randomized differential runs.
 SEEDS = range(60)
+
+REASONS = SlicerOptions(track_reasons=True)
 
 
 def _criteria_variants(store):
@@ -50,7 +52,7 @@ def _criteria_variants(store):
 def _assert_equivalent(store, seed, *, epoch_size):
     # Sanitize first: a malformed trace would make any slicer agreement
     # (or disagreement) meaningless.
-    lint_or_raise(store, epoch_size=epoch_size)
+    lint_or_raise(store)
     cdi = build_index(store.forward())
     for criteria in _criteria_variants(store):
         seq = BackwardSlicer(store, cdi, criteria).run()
@@ -65,6 +67,18 @@ def _assert_equivalent(store, seed, *, epoch_size):
             f"oracle != sequential for {label}; "
             f"first diffs at {_diff_indices(seq.flags, orc.flags)}"
         )
+        # Sampling a timeline rides along the same walk: it changes
+        # neither flags nor reasons, and its last sample is the slice.
+        reasons = BackwardSlicer(store, cdi, criteria, options=REASONS).run()
+        sampled = BackwardSlicer(
+            store, cdi, criteria, sample_every=7, options=REASONS
+        ).run()
+        assert bytes(sampled.flags) == bytes(seq.flags), label
+        assert sampled.reasons == reasons.reasons, label
+        last = sampled.timeline[-1]
+        assert (last.processed, last.in_slice) == (
+            len(store), sampled.slice_size()
+        ), label
 
 
 def _diff_indices(a, b, limit=10):

@@ -21,14 +21,16 @@ from repro.machine import Tracer
 from repro.machine.tracer import TILE_MARKER
 from repro.profiler import Profiler
 from repro.profiler.cdg import build_index
+from repro.profiler.criteria import syscall_criteria
 from repro.profiler.incremental import (
     IncrementalSlicer,
     SliceCheckpoint,
     options_key,
 )
 from repro.profiler.redundancy import frame_pixel_criteria
-from repro.profiler.slicer import DEFAULT_OPTIONS, slice_trace
+from repro.profiler.slicer import DEFAULT_OPTIONS, SlicerOptions, slice_trace
 from repro.workloads import benchmark
+from repro.workloads.fuzz import random_trace
 
 
 @pytest.fixture(scope="module")
@@ -72,16 +74,19 @@ def test_unknown_engine_rejected(ticker_store):
         Profiler(ticker_store).slice(criteria, engine="sideways")
 
 
-def test_timeline_final_sample_matches_sequential(ticker_store):
-    # Intermediate samples may differ by the not-yet-paired RET count
-    # (see ``reconstruct_timeline``); the final sample is exact.
-    profiler = Profiler(ticker_store)
-    span = ticker_store.frame_spans()[1]
-    criteria = frame_pixel_criteria(ticker_store, span)
-    seq = profiler.slice(criteria, engine="sequential", sample_every=256)
-    inc = profiler.slice(criteria, engine="incremental", sample_every=256)
-    assert inc.timeline, "incremental engine should emit timeline samples"
-    assert inc.timeline[-1] == seq.timeline[-1]
+@pytest.mark.parametrize(
+    "request_kwargs",
+    ({"sample_every": 5}, {"options": SlicerOptions(track_reasons=True)}),
+    ids=("sample-every", "track-reasons"),
+)
+@pytest.mark.parametrize("engine", ("vectorized", "incremental"))
+def test_fast_engines_reject_timeline_and_reasons(engine, request_kwargs):
+    """Only the sequential engine returns timelines and join reasons."""
+    store = random_trace(5, target_records=400)
+    with pytest.raises(ValueError, match="sequential"):
+        Profiler(store).slice(
+            syscall_criteria(store), engine=engine, **request_kwargs
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -155,23 +160,6 @@ def test_checkpoint_disk_resume(ticker_store, tmp_path):
         inc = fresh.slice(criteria, engine="incremental", checkpoint=resumed)
         assert bytes(inc.flags) == bytes(seq.flags), f"frame {span.frame_id}"
     assert resumed.counters.exact_hits + resumed.counters.pass_throughs > 0
-
-
-def test_track_reasons_bypasses_memoization(ticker_store):
-    from repro.profiler.slicer import SlicerOptions
-
-    profiler = Profiler(ticker_store)
-    span = ticker_store.frame_spans()[1]
-    criteria = frame_pixel_criteria(ticker_store, span)
-    opts = SlicerOptions(track_reasons=True)
-    seq = profiler.slice(criteria, engine="sequential", options=opts)
-    inc = profiler.slice(criteria, engine="incremental", options=opts)
-    assert bytes(inc.flags) == bytes(seq.flags)
-    assert inc.reasons == seq.reasons
-    # A reasons run must not have poisoned the checkpoint with memos
-    # lacking reason maps, nor consumed any.
-    assert inc.engine_stats["memo_exact"] == 0
-    assert inc.engine_stats["memo_pass_through"] == 0
 
 
 # --------------------------------------------------------------------- #

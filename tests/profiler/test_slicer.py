@@ -245,6 +245,35 @@ def test_timeline_samples_monotonic():
     assert all(s.in_slice <= s.processed for s in result.timeline)
 
 
+def test_timeline_counts_retroactive_ret_at_its_call():
+    """A RET that joins retroactively is counted when its CALL is visited:
+    sampling every record, ``in_slice`` does not move at g's RET and
+    rises by two (CALL and RET) at g's CALL."""
+    tracer, crit = _reasons_trace()
+    result = slice_with(tracer, crit, sample_every=1)
+    records = tracer.store.records()
+    n = len(records)
+    g = tracer.symbols.lookup("g")
+    ret_g = next(
+        i for i, r in enumerate(records) if r.kind == InstrKind.RET and r.fn == g
+    )
+    call_g = next(
+        i for i, r in enumerate(records)
+        if r.kind == InstrKind.CALL and r.pc == tracer.pc_of("f", "call:g")
+    )
+    assert ret_g in result and call_g in result
+    # timeline[k] is the sample taken after visiting record n - 1 - k.
+    in_slice = [0] + [s.in_slice for s in result.timeline]
+
+    def rise(i):
+        return in_slice[n - i] - in_slice[n - 1 - i]
+
+    assert rise(ret_g) == 0
+    assert rise(call_g) == 2
+    assert len(result.timeline) == n + 1
+    assert result.timeline[-1].in_slice == result.slice_size()
+
+
 def test_slice_result_helpers():
     tracer = make_tracer()
     with tracer.function("f"):

@@ -8,13 +8,13 @@ pipeline: the same randomized traces are sliced by
 * the vectorized array-join closure over the **columnar trace** with its
   precomputed slice index (``profiler/vectorized.py``),
 
-and must produce identical sliced-record sets, identical join reasons
-(``track_reasons``), and identical unnecessary-computation category
-distributions.  The vectorized engine shares no traversal code with the
-sequential pass — its closure is batch searchsorted joins over def/use
-arrays — so a bug would have to be reimplemented independently in both
-formulations to slip through.  On mismatch the failing seed is in the
-assertion message; ``random_trace(seed)`` reproduces the trace exactly.
+and must produce identical sliced-record sets and identical
+unnecessary-computation category distributions.  The vectorized engine
+shares no traversal code with the sequential pass — its closure is batch
+searchsorted joins over def/use arrays — so a bug would have to be
+reimplemented independently in both formulations to slip through.  On
+mismatch the failing seed is in the assertion message;
+``random_trace(seed)`` reproduces the trace exactly.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from repro.profiler.criteria import (
     pixel_criteria,
     syscall_criteria,
 )
-from repro.profiler.epoch import reconstruct_timeline
-from repro.profiler.slicer import BackwardSlicer, SlicerOptions
+from repro.profiler.slicer import DEFAULT_OPTIONS, BackwardSlicer, SlicerOptions
 from repro.profiler.vectorized import VectorizedSlicer, attach_index
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.lint import lint_or_raise
@@ -40,10 +39,6 @@ from repro.workloads.fuzz import random_trace
 
 # 60 seeds x up to 3 criteria = up to 180 randomized differential runs.
 SEEDS = range(60)
-
-#: every sliced record carries a join reason in these runs, so reason
-#: maps are compared for full equality (kind and detail).
-REASONS = SlicerOptions(track_reasons=True)
 
 
 def _criteria_variants(store):
@@ -58,7 +53,7 @@ def _diff_indices(a, b, limit=10):
     return [i for i, (x, y) in enumerate(zip(a, b)) if x != y][:limit]
 
 
-def _assert_equivalent(store, seed, *, options=REASONS):
+def _assert_equivalent(store, seed, *, options=DEFAULT_OPTIONS):
     # Sanitize first: a malformed trace would make any slicer agreement
     # (or disagreement) meaningless.
     lint_or_raise(store)
@@ -73,10 +68,6 @@ def _assert_equivalent(store, seed, *, options=REASONS):
             f"vectorized != sequential for {label}; "
             f"first diffs at {_diff_indices(seq.flags, vec.flags)}"
         )
-        if options.track_reasons:
-            assert vec.reasons == seq.reasons, (
-                f"vectorized reasons != sequential for {label}"
-            )
         seq_cat = categorize_unnecessary(store, seq)
         vec_cat = categorize_unnecessary(cols, vec)
         assert (vec_cat.counts, vec_cat.uncategorized) == (
@@ -93,13 +84,9 @@ def test_random_traces_vectorized_agrees(seed):
 @pytest.mark.parametrize(
     "options",
     (
-        SlicerOptions(control_dependences=False, track_reasons=True),
-        SlicerOptions(call_site_dependences=False, track_reasons=True),
-        SlicerOptions(
-            control_dependences=False,
-            call_site_dependences=False,
-            track_reasons=True,
-        ),
+        SlicerOptions(control_dependences=False),
+        SlicerOptions(call_site_dependences=False),
+        SlicerOptions(control_dependences=False, call_site_dependences=False),
     ),
     ids=("no-control", "no-callsite", "data-only"),
 )
@@ -121,10 +108,9 @@ def test_windowed_criteria_agree(seed):
     cdi = build_index(store.forward())
     base = syscall_criteria(store)
     windowed = base.windowed(len(store) // 2)
-    seq = BackwardSlicer(store, cdi, windowed, options=REASONS).run()
-    vec = VectorizedSlicer(cols, cdi, windowed, options=REASONS).run()
+    seq = BackwardSlicer(store, cdi, windowed).run()
+    vec = VectorizedSlicer(cols, cdi, windowed).run()
     assert bytes(vec.flags) == bytes(seq.flags), f"seed={seed}"
-    assert vec.reasons == seq.reasons
 
 
 def test_engine_switch_on_profiler_api():
@@ -150,24 +136,6 @@ def test_vectorized_accepts_row_store():
     vec = VectorizedSlicer(store, cdi, crit).run()
     assert bytes(vec.flags) == bytes(seq.flags)
     assert vec.engine_stats["stored_index"] is False
-
-
-def test_timeline_matches_parallel_reconstruction():
-    """The vectorized timeline is :func:`.epoch.reconstruct_timeline`
-    over the final flags: identical samples, and the final sample (the
-    one the figures consume) equals the sequential count."""
-    store = random_trace(42, target_records=3_000)
-    cols = ColumnarTrace.from_store(store)
-    attach_index(cols)
-    cdi = build_index(store.forward())
-    crit = pixel_criteria(store)
-    seq = BackwardSlicer(store, cdi, crit, sample_every=500).run()
-    vec = VectorizedSlicer(cols, cdi, crit, sample_every=500).run()
-    rows = reconstruct_timeline(
-        store.records(), seq.flags, 500, store.metadata.main_thread_id()
-    )
-    assert vec.timeline == rows
-    assert vec.timeline[-1] == seq.timeline[-1]
 
 
 def test_criteria_required():

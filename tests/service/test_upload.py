@@ -60,13 +60,14 @@ def test_session_digest_mismatch_removes_spool(tmp_path):
 
 def test_session_rejects_non_trace_bytes(tmp_path):
     store = UploadStore(tmp_path / "uploads")
-    session = store.session()
-    payload = b"#!/bin/sh\necho not a trace\n"
-    session.append(payload)
-    with pytest.raises(UploadError) as err:
-        session.finish(hashlib.sha256(payload).hexdigest())
-    assert err.value.code == "bad-upload"
-    assert list(store.directory.iterdir()) == []
+    # UCWA1 is no longer read, so its header is not a trace header either.
+    for payload in (b"#!/bin/sh\necho not a trace\n", b"UCWA1\n" + bytes(64)):
+        session = store.session()
+        session.append(payload)
+        with pytest.raises(UploadError) as err:
+            session.finish(hashlib.sha256(payload).hexdigest())
+        assert err.value.code == "bad-upload"
+        assert list(store.directory.iterdir()) == []
 
 
 def test_session_abort_is_idempotent_and_cleans_up(tmp_path):
@@ -244,6 +245,28 @@ def test_streamed_upload_slices_frames_as_epochs_arrive(
     assert warm["checkpoint"] == "warm"
     assert [f["flags_sha256"] for f in warm["frames"]] == [
         f["flags_sha256"] for f in cold["frames"]
+    ]
+
+
+def test_stream_with_damaged_checkpoint_recomputes_cold(
+    service_factory, frame_trace_path
+):
+    """A damaged ``.ckpt`` costs a recompute, never a different answer."""
+    from repro.profiler.incremental import checkpoint_path_for
+
+    server, client = _tcp_client(service_factory)
+    first = client.upload_trace(
+        frame_trace_path, spec={"engine": "incremental"}, stream=True
+    )
+    ckpt = checkpoint_path_for(first["digest"], server._cache_dir / "checkpoints")
+    image = ckpt.read_bytes()
+    ckpt.write_bytes(image[: len(image) // 2])
+    again = client.upload_trace(
+        frame_trace_path, spec={"engine": "incremental"}, stream=True
+    )
+    assert again["checkpoint"] == "cold"
+    assert [f["flags_sha256"] for f in again["frames"]] == [
+        f["flags_sha256"] for f in first["frames"]
     ]
 
 

@@ -211,6 +211,16 @@ def test_unknown_kind_raises_value_error_naming_the_file(tmp_path, reader_name):
 
 
 @pytest.mark.parametrize("reader_name", list(READERS))
+def test_ucwa1_header_raises_value_error_naming_the_file(tmp_path, reader_name):
+    """UCWA1 is no longer read: it fails like any unknown header."""
+    image, _ = _section_offsets(small_trace())
+    assert image.startswith(b"UCWA2\n")
+    path = tmp_path / "v1.ucwa"
+    path.write_bytes(b"UCWA1\n" + image[len(b"UCWA2\n"):])
+    _expect_error_naming_file(path, reader_name)
+
+
+@pytest.mark.parametrize("reader_name", list(READERS))
 def test_marker_id_past_table_raises_value_error_naming_the_file(
     tmp_path, reader_name
 ):
