@@ -94,7 +94,7 @@ class CompositorHost:
 
     def _commit_items(self, layer: CompositedLayer) -> None:
         tracer = self.ctx.tracer
-        layer.cc_items = []
+        committed = []
         for i, item in enumerate(layer.paint.items):
             cc_cell = self.ctx.memory.alloc_cell(
                 f"cc:item:L{layer.paint.layer_id}:{i}"
@@ -111,7 +111,8 @@ class CompositorHost:
                 reads=(cc_cell, layer.index_cell),
                 writes=(layer.index_cell,),
             )
-            layer.cc_items.append((item, cc_cell))
+            committed.append((item, cc_cell))
+        layer.commit_items(committed)
 
     def recommit_layer(self, layer: CompositedLayer) -> None:
         """Re-copy one dirty layer's display list after a repaint."""
@@ -151,7 +152,7 @@ class CompositorHost:
                     writes=(layer.index_cell,),
                 )
                 fresh.append((item, cc_cell))
-            layer.cc_items[start : start + n_removed] = fresh
+            layer.splice_items(start, n_removed, fresh)
             self.ctx.maybe_debug_event()
 
     # ------------------------------------------------------------------ #

@@ -19,6 +19,9 @@ from ..paint.display_list import DisplayItem, PaintLayer
 #: pixel cells per tile side (256 / 64 = 4; 16 cells per tile)
 BLOCKS_PER_SIDE = TILE_SIZE // PIXEL_BLOCK
 
+#: A layer's committed ``(display item, cc-side cell)`` pairs on one tile.
+CommittedItems = Tuple[Tuple[DisplayItem, int], ...]
+
 
 class Tile:
     """One 256x256 tile of a layer's backing store."""
@@ -64,21 +67,30 @@ class Tile:
         overlap = self.rect.intersection(rect)
         if overlap is None:
             return ()
+        # ``Rect.intersects`` of each 64x64 block with the overlap, written
+        # out on the block edges (same operands, so the same answers).
+        right, bottom = overlap.right, overlap.bottom
         cells: List[int] = []
         for row in range(BLOCKS_PER_SIDE):
+            y = self.rect.y + row * PIXEL_BLOCK
+            if y + PIXEL_BLOCK <= overlap.y or bottom <= y:
+                continue
             for col in range(BLOCKS_PER_SIDE):
-                block = Rect(
-                    self.rect.x + col * PIXEL_BLOCK,
-                    self.rect.y + row * PIXEL_BLOCK,
-                    PIXEL_BLOCK,
-                    PIXEL_BLOCK,
-                )
-                if block.intersects(overlap):
-                    cells.append(self.pixels.cell(row * BLOCKS_PER_SIDE + col))
+                x = self.rect.x + col * PIXEL_BLOCK
+                if x + PIXEL_BLOCK <= overlap.x or right <= x:
+                    continue
+                cells.append(self.pixels.cell(row * BLOCKS_PER_SIDE + col))
         return tuple(cells)
 
     def __repr__(self) -> str:
         return f"Tile(L{self.layer_id} {self.col},{self.row} {self.rect})"
+
+
+def _cells_spanned(a: float, b: float, first: int, last: int) -> range:
+    """Grid indices in ``[first, last]`` from the cell edge ``a`` floors into
+    to the one ``b`` floors into (in either order)."""
+    lo, hi = sorted((int(a // TILE_SIZE), int(b // TILE_SIZE)))
+    return range(max(first, lo), min(last, hi) + 1)
 
 
 class CompositedLayer:
@@ -90,7 +102,11 @@ class CompositedLayer:
         self.tiles: Dict[Tuple[int, int], Tile] = {}
         #: cc-side copies of the display items (committed from the main
         #: thread); raster reads these, not the blink-side originals.
+        #: Changed only through :meth:`commit_items` and :meth:`splice_items`.
         self.cc_items: List[Tuple[DisplayItem, int]] = []
+        #: (col, row) -> the ``cc_items`` on that tile, in ``cc_items``
+        #: order; built on the first query after the items change.
+        self._tile_items: Optional[Dict[Tuple[int, int], CommittedItems]] = None
         #: cc-side property cells (transform/position), read at raster.
         self.property_cell = ctx.memory.alloc_cell(
             f"cc:props:L{paint_layer.layer_id}"
@@ -104,6 +120,8 @@ class CompositedLayer:
         self.priority_cell = ctx.memory.alloc_cell(
             f"cc:priority:L{paint_layer.layer_id}"
         )
+        #: first and last (col, row) of the tile grid; None without tiles
+        self._grid: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
         self._build_grid()
 
     def _build_grid(self) -> None:
@@ -114,6 +132,7 @@ class CompositedLayer:
         row0 = int(bounds.y // TILE_SIZE)
         col1 = int((bounds.right - 1) // TILE_SIZE)
         row1 = int((bounds.bottom - 1) // TILE_SIZE)
+        self._grid = ((col0, row0), (col1, row1))
         for row in range(row0, row1 + 1):
             for col in range(col0, col1 + 1):
                 rect = Rect(col * TILE_SIZE, row * TILE_SIZE, TILE_SIZE, TILE_SIZE)
@@ -121,13 +140,42 @@ class CompositedLayer:
                     self.ctx, self.paint.layer_id, col, row, rect
                 )
 
-    def items_for_tile(self, tile: Tile) -> List[Tuple[DisplayItem, int]]:
-        """Display items whose rect intersects ``tile`` (spatial query)."""
-        return [
-            (item, cc_cell)
-            for item, cc_cell in self.cc_items
-            if item.rect.intersects(tile.rect)
-        ]
+    def commit_items(self, items: List[Tuple[DisplayItem, int]]) -> None:
+        """Replace the committed ``(item, cc cell)`` list."""
+        self.cc_items = items
+        self._tile_items = None
+
+    def splice_items(
+        self, start: int, n_removed: int, items: List[Tuple[DisplayItem, int]]
+    ) -> None:
+        """Replace ``cc_items[start : start + n_removed]`` with ``items``."""
+        self.cc_items[start : start + n_removed] = items
+        self._tile_items = None
+
+    def items_for_tile(self, tile: Tile) -> CommittedItems:
+        """Display items whose rect intersects ``tile``, in commit order."""
+        if self._tile_items is None:
+            self._tile_items = self._bucket_items()
+        return self._tile_items.get((tile.col, tile.row), ())
+
+    def _bucket_items(self) -> Dict[Tuple[int, int], CommittedItems]:
+        """Per-tile item lists for every tile of the grid.
+
+        Each item is offered to the grid cells between the ones its rect's
+        edges floor into (either sign of width and height), and kept on a
+        tile only if it passes the exact ``Rect.intersects`` test.
+        """
+        if self._grid is None:
+            return {}
+        (col0, row0), (col1, row1) = self._grid
+        buckets: Dict[Tuple[int, int], List[Tuple[DisplayItem, int]]] = {}
+        for entry in self.cc_items:
+            rect = entry[0].rect
+            for row in _cells_spanned(rect.y, rect.bottom, row0, row1):
+                for col in _cells_spanned(rect.x, rect.right, col0, col1):
+                    if rect.intersects(self.tiles[(col, row)].rect):
+                        buckets.setdefault((col, row), []).append(entry)
+        return {key: tuple(entries) for key, entries in buckets.items()}
 
     def tiles_intersecting(self, rect: Rect) -> Iterator[Tile]:
         for tile in self.tiles.values():

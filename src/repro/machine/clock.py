@@ -44,6 +44,15 @@ class VirtualClock:
         cost = instructions * self.instr_cost_us
         # Attribute the busy time to the bucket where the work started;
         # bursts longer than a bucket are split across buckets.
+        now = self._now_us
+        bucket = int(now // self.bucket_us)
+        room = (bucket + 1) * self.bucket_us - now
+        if 0 < cost <= room:
+            # The loop's single step when the cost fits the current bucket
+            # (same operands, same order: Figure 2 depends on it).
+            self._busy[(bucket, tid)] += cost
+            self._now_us = now + cost
+            return
         remaining = cost
         while remaining > 0:
             bucket = int(self._now_us // self.bucket_us)

@@ -16,12 +16,15 @@ dynamic CFG construction (paper Section III-A) well-defined.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from ..trace.records import (
     FRAME_BEGIN_MARKER,
     FRAME_END_MARKER,
+    LOCK_ACQUIRE_MARKER,
+    LOCK_RELEASE_MARKER,
+    NO_MEM,
+    NO_REGS,
     SYNC_ACQUIRE,
     SYNC_RELEASE,
     FrameSpan,
@@ -48,19 +51,47 @@ TILE_MARKER = "tile_ready"
 LOAD_COMPLETE_MARKER = "load_complete"
 
 
-class _ThreadState:
-    """Per-thread call stack of function symbol ids."""
+#: The register tuple the compare writes and the branch reads.
+_FLAGS_ONLY = (FLAGS,)
+_NO_THREAD = "no thread spawned yet"
 
-    __slots__ = ("tid", "name", "stack")
+#: Record kinds as module globals (cheaper to load than enum attributes).
+_OP, _CMP, _BRANCH = InstrKind.OP, InstrKind.CMP, InstrKind.BRANCH
+_CALL, _RET = InstrKind.CALL, InstrKind.RET
+_SYSCALL, _MARKER = InstrKind.SYSCALL, InstrKind.MARKER
 
-    def __init__(self, tid: int, name: str, root_fn: int) -> None:
-        self.tid = tid
+
+class _Invocation:
+    """``with tracer.function(name)``: CALL on entry, RET on exit.
+
+    The RET is emitted whether or not the body raised; an exception in the
+    body still propagates.
+    """
+
+    __slots__ = ("tracer", "name", "site")
+
+    def __init__(self, tracer: "Tracer", name: str, site: Optional[str]) -> None:
+        self.tracer = tracer
         self.name = name
-        self.stack: List[int] = [root_fn]
+        self.site = site
+
+    def __enter__(self) -> None:
+        self.tracer.call(self.name, self.site)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.tracer.ret()
 
 
 class Tracer:
-    """Collects the instruction trace of the simulated tab process."""
+    """Collects the instruction trace of the simulated tab process.
+
+    Every emit method takes the same path: read the current thread, the
+    function on top of its call stack and the site's pc (``_pc`` assigns
+    one to a new site), tick the clock, then append one positionally
+    built :class:`TraceRecord` to the store.  The steps are written out in
+    each method rather than shared through a helper, because they run
+    once per traced instruction.
+    """
 
     def __init__(
         self,
@@ -72,8 +103,11 @@ class Tracer:
         self.store = TraceStore(self.symbols, TraceMetadata())
         self._sites: Dict[Tuple[int, str], int] = {}
         self._site_counts: Dict[int, int] = {}
-        self._threads: Dict[int, _ThreadState] = {}
+        #: tid -> call stack of function symbol ids (root frame first)
+        self._stacks: Dict[int, List[int]] = {}
         self._tid: Optional[int] = None
+        #: the current thread's call stack (``_stacks[_tid]``)
+        self._stack: List[int] = []
 
     # ------------------------------------------------------------------ #
     # Threads                                                            #
@@ -81,32 +115,32 @@ class Tracer:
 
     def spawn_thread(self, tid: int, name: str, root_function: str) -> None:
         """Register a thread whose outermost frame is ``root_function``."""
-        if tid in self._threads:
+        if tid in self._stacks:
             raise ValueError(f"thread {tid} already exists")
-        root_fn = self.symbols.intern(root_function)
-        self._threads[tid] = _ThreadState(tid, name, root_fn)
+        self._stacks[tid] = [self.symbols.intern(root_function)]
         self.store.metadata.thread_names[tid] = name
         if self._tid is None:
-            self._tid = tid
+            self.switch(tid)
 
     def switch(self, tid: int) -> None:
         """Make ``tid`` the currently executing thread."""
-        if tid not in self._threads:
+        stack = self._stacks.get(tid)
+        if stack is None:
             raise KeyError(f"unknown thread {tid}")
         self._tid = tid
+        self._stack = stack
 
     @property
     def current_tid(self) -> int:
         if self._tid is None:
-            raise RuntimeError("no thread spawned yet")
+            raise RuntimeError(_NO_THREAD)
         return self._tid
-
-    def _state(self) -> _ThreadState:
-        return self._threads[self.current_tid]
 
     def current_function(self) -> int:
         """Symbol id of the function on top of the current thread's stack."""
-        return self._state().stack[-1]
+        if self._tid is None:
+            raise RuntimeError(_NO_THREAD)
+        return self._stack[-1]
 
     # ------------------------------------------------------------------ #
     # pc management                                                      #
@@ -137,10 +171,6 @@ class Tracer:
     # Record emission                                                    #
     # ------------------------------------------------------------------ #
 
-    def _emit(self, record: TraceRecord) -> int:
-        self.clock.tick(record.tid)
-        return self.store.append(record)
-
     def op(
         self,
         label: str,
@@ -150,17 +180,18 @@ class Tracer:
         reg_writes: Tuple[int, ...] = (),
     ) -> int:
         """Emit an ordinary data-operation record at site ``label``."""
-        fn = self.current_function()
-        return self._emit(
+        tid = self._tid
+        if tid is None:
+            raise RuntimeError(_NO_THREAD)
+        fn = self._stack[-1]
+        pc = self._sites.get((fn, label))
+        if pc is None:
+            pc = self._pc(fn, label)
+        self.clock.tick(tid)
+        return self.store.append(
             TraceRecord(
-                tid=self.current_tid,
-                pc=self._pc(fn, label),
-                kind=InstrKind.OP,
-                fn=fn,
-                regs_read=tuple(reg_reads),
-                regs_written=tuple(reg_writes),
-                mem_read=tuple(reads),
-                mem_written=tuple(writes),
+                tid, pc, _OP, fn,
+                tuple(reg_reads), tuple(reg_writes), tuple(reads), tuple(writes),
             )
         )
 
@@ -171,27 +202,16 @@ class Tracer:
         branch's dynamic successors (whatever records follow in this
         function) define the control dependences discovered by the CDG.
         """
-        fn = self.current_function()
-        tid = self.current_tid
-        self._emit(
-            TraceRecord(
-                tid=tid,
-                pc=self._pc(fn, label + "$cmp"),
-                kind=InstrKind.CMP,
-                fn=fn,
-                regs_written=(FLAGS,),
-                mem_read=tuple(reads),
-            )
-        )
-        self._emit(
-            TraceRecord(
-                tid=tid,
-                pc=self._pc(fn, label + "$br"),
-                kind=InstrKind.BRANCH,
-                fn=fn,
-                regs_read=(FLAGS,),
-            )
-        )
+        tid = self._tid
+        if tid is None:
+            raise RuntimeError(_NO_THREAD)
+        fn = self._stack[-1]
+        cmp_pc = self._pc(fn, label + "$cmp")
+        br_pc = self._pc(fn, label + "$br")
+        self.clock.tick(tid)
+        self.store.append(TraceRecord(tid, cmp_pc, _CMP, fn, NO_REGS, _FLAGS_ONLY, tuple(reads)))
+        self.clock.tick(tid)
+        self.store.append(TraceRecord(tid, br_pc, _BRANCH, fn, _FLAGS_ONLY))
 
     # ------------------------------------------------------------------ #
     # Functions                                                          #
@@ -199,44 +219,38 @@ class Tracer:
 
     def call(self, function: str, site: Optional[str] = None) -> None:
         """Emit a CALL at the caller and push ``function``."""
-        state = self._state()
-        caller = state.stack[-1]
+        tid = self._tid
+        if tid is None:
+            raise RuntimeError(_NO_THREAD)
+        caller = self._stack[-1]
         callee = self.symbols.intern(function)
         label = site if site is not None else f"call:{function}"
-        self._emit(
-            TraceRecord(
-                tid=state.tid,
-                pc=self._pc(caller, label),
-                kind=InstrKind.CALL,
-                fn=caller,
-            )
-        )
-        state.stack.append(callee)
+        pc = self._sites.get((caller, label))
+        if pc is None:
+            pc = self._pc(caller, label)
+        self.clock.tick(tid)
+        self.store.append(TraceRecord(tid, pc, _CALL, caller))
+        self._stack.append(callee)
 
     def ret(self) -> None:
         """Emit a RET in the current function and pop it."""
-        state = self._state()
-        if len(state.stack) <= 1:
-            raise RuntimeError(f"thread {state.tid}: return from root frame")
-        fn = state.stack[-1]
-        self._emit(
-            TraceRecord(
-                tid=state.tid,
-                pc=self._pc(fn, "$ret"),
-                kind=InstrKind.RET,
-                fn=fn,
-            )
-        )
-        state.stack.pop()
+        tid = self._tid
+        if tid is None:
+            raise RuntimeError(_NO_THREAD)
+        stack = self._stack
+        if len(stack) <= 1:
+            raise RuntimeError(f"thread {tid}: return from root frame")
+        fn = stack[-1]
+        pc = self._sites.get((fn, "$ret"))
+        if pc is None:
+            pc = self._pc(fn, "$ret")
+        self.clock.tick(tid)
+        self.store.append(TraceRecord(tid, pc, _RET, fn))
+        stack.pop()
 
-    @contextmanager
-    def function(self, name: str, site: Optional[str] = None):
+    def function(self, name: str, site: Optional[str] = None) -> _Invocation:
         """Context manager bracketing a function invocation."""
-        self.call(name, site)
-        try:
-            yield
-        finally:
-            self.ret()
+        return _Invocation(self, name, site)
 
     # ------------------------------------------------------------------ #
     # Syscalls and markers                                               #
@@ -255,18 +269,17 @@ class Tracer:
         paper's Pin tool resolves ``buf``/``dest_addr`` pointers).
         """
         model = BY_NAME[name]
-        fn = self.current_function()
-        return self._emit(
+        tid = self._tid
+        if tid is None:
+            raise RuntimeError(_NO_THREAD)
+        fn = self._stack[-1]
+        pc = self._pc(fn, f"syscall:{name}")
+        self.clock.tick(tid)
+        return self.store.append(
             TraceRecord(
-                tid=self.current_tid,
-                pc=self._pc(fn, f"syscall:{name}"),
-                kind=InstrKind.SYSCALL,
-                fn=fn,
-                regs_read=SYSCALL_ARG_REGISTERS[: model.nargs],
-                regs_written=SYSCALL_RESULT_REGISTERS,
-                mem_read=tuple(reads),
-                mem_written=tuple(writes),
-                syscall=model.number,
+                tid, pc, _SYSCALL, fn,
+                SYSCALL_ARG_REGISTERS[: model.nargs], SYSCALL_RESULT_REGISTERS,
+                tuple(reads), tuple(writes), model.number,
             )
         )
 
@@ -277,19 +290,18 @@ class Tracer:
         cells) into the trace metadata — the equivalent of the external
         file written by the paper's modified ``PlaybackToMemory``.
         """
-        fn = self.current_function()
-        index = self._emit(
-            TraceRecord(
-                tid=self.current_tid,
-                pc=self._pc(fn, f"marker:{tag}"),
-                kind=InstrKind.MARKER,
-                fn=fn,
-                mem_read=tuple(cells),
-                marker=tag,
-            )
+        tid = self._tid
+        if tid is None:
+            raise RuntimeError(_NO_THREAD)
+        fn = self._stack[-1]
+        pc = self._pc(fn, f"marker:{tag}")
+        cells = tuple(cells)
+        self.clock.tick(tid)
+        index = self.store.append(
+            TraceRecord(tid, pc, _MARKER, fn, NO_REGS, NO_REGS, cells, NO_MEM, None, tag)
         )
         if tag == TILE_MARKER:
-            self.store.metadata.tile_buffers.append((index, tuple(cells)))
+            self.store.metadata.tile_buffers.append((index, cells))
         elif tag == LOAD_COMPLETE_MARKER:
             self.store.metadata.load_complete_index = index
         return index
@@ -349,11 +361,32 @@ class Tracer:
 
     def lock_acquire(self, obj: int) -> int:
         """Acquire a mutual-exclusion lock identified by cell ``obj``."""
-        return self.marker(sync_marker_tag(SYNC_ACQUIRE, "lock"), cells=(obj,))
+        return self.marker(LOCK_ACQUIRE_MARKER, cells=(obj,))
 
     def lock_release(self, obj: int) -> int:
         """Release a mutual-exclusion lock identified by cell ``obj``."""
-        return self.marker(sync_marker_tag(SYNC_RELEASE, "lock"), cells=(obj,))
+        return self.marker(LOCK_RELEASE_MARKER, cells=(obj,))
+
+
+class _CriticalSection:
+    """``with lock.held()``: acquire on entry, release on exit.
+
+    The release is emitted whether or not the body raised.
+    """
+
+    __slots__ = ("lock",)
+
+    def __init__(self, lock: "TracedLock") -> None:
+        self.lock = lock
+
+    def __enter__(self) -> "TracedLock":
+        lock = self.lock
+        lock.tracer.lock_acquire(lock.cell)
+        return lock
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        lock = self.lock
+        lock.tracer.lock_release(lock.cell)
 
 
 class TracedLock:
@@ -366,25 +399,15 @@ class TracedLock:
     all threads into a total order the race detector can rely on.
     """
 
-    __slots__ = ("tracer", "cell", "name")
+    __slots__ = ("tracer", "cell", "name", "_section")
 
     def __init__(self, tracer: Tracer, cell: int, name: str) -> None:
         self.tracer = tracer
         self.cell = cell
         self.name = name
+        self._section = _CriticalSection(self)
 
-    def acquire(self) -> None:
-        self.tracer.lock_acquire(self.cell)
-
-    def release(self) -> None:
-        self.tracer.lock_release(self.cell)
-
-    @contextmanager
-    def held(self):
+    def held(self) -> _CriticalSection:
         """Bracket a critical section (static lock-order analysis keys on
         ``with ctx.lock("...").held():`` sites)."""
-        self.acquire()
-        try:
-            yield self
-        finally:
-            self.release()
+        return self._section

@@ -39,17 +39,27 @@ reference; ``--engine=vectorized`` the array-join engine on any trace;
 ``--engine=incremental`` the frame-region checkpointing engine (see
 docs/incremental-slicing.md).  ``info``, ``lint``, ``convert``, and
 ``slice`` accept every UCWA format.  Unknown criteria, engines, options,
-formats, and workload names exit with status 2.
+formats, and workload names exit with status 2, as do a trace path that
+cannot be read and a ``collect`` destination whose directory does not
+exist (checked before the simulation runs); those print ``error: ...``
+on stderr.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections import Counter
 from typing import Optional
 
 from .store import load_any_trace, save_trace
+
+
+def _error(message: object) -> int:
+    """Print ``error: <message>`` to stderr; the exit status is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _collect(name: str, path: str, fmt: str = "v2") -> int:
@@ -59,19 +69,25 @@ def _collect(name: str, path: str, fmt: str = "v2") -> int:
     try:
         bench = benchmark(name)
     except KeyError as err:
-        print(f"error: {err.args[0]}", file=sys.stderr)
-        return 2
+        return _error(err.args[0])
+    # Fail before the simulation, not after it.
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        return _error(f"no such directory: {directory}")
     engine = run_engine(bench, metrics_ticks=2)
     store = engine.trace_store()
-    if fmt == "v3":
-        from ..profiler.vectorized import attach_index
-        from .columnar import ColumnarTrace, save_columnar
+    try:
+        if fmt == "v3":
+            from ..profiler.vectorized import attach_index
+            from .columnar import ColumnarTrace, save_columnar
 
-        cols = ColumnarTrace.from_store(store)
-        attach_index(cols)
-        save_columnar(cols, path)
-    else:
-        save_trace(store, path)
+            cols = ColumnarTrace.from_store(store)
+            attach_index(cols)
+            save_columnar(cols, path)
+        else:
+            save_trace(store, path)
+    except OSError as err:
+        return _error(err)
     print(f"saved {len(store)} records ({len(store.thread_ids())} threads) to {path}")
     return 0
 
@@ -80,8 +96,6 @@ def _convert(src: str, dst: str, fmt: str = "v3", with_index: bool = True) -> in
     from .columnar import convert_trace
 
     convert_trace(src, dst, fmt=fmt, with_index=with_index)
-    import os
-
     print(f"wrote {dst} ({fmt}, {os.path.getsize(dst)} bytes)")
     return 0
 
@@ -169,9 +183,17 @@ def _slice(path: str, engine: str = "auto", criteria: str = "pixels") -> int:
     return 0
 
 
+def _on_trace(command, path: str, **options) -> int:
+    """Run ``command`` on a stored trace; an unreadable one exits 2."""
+    try:
+        return command(path, **options)
+    except (ValueError, OSError) as err:
+        return _error(err)
+
+
 def main(argv) -> int:
     if len(argv) >= 2 and argv[0] == "info":
-        return _info(argv[1])
+        return _on_trace(_info, argv[1])
     if len(argv) >= 2 and argv[0] == "lint":
         as_json = False
         checkpoint_path: Optional[str] = None
@@ -186,7 +208,7 @@ def main(argv) -> int:
             else:
                 print(f"unknown option {opt!r}")
                 return 2
-        return _lint(argv[1], as_json=as_json, checkpoint_path=checkpoint_path)
+        return _on_trace(_lint, argv[1], as_json=as_json, checkpoint_path=checkpoint_path)
     if len(argv) >= 2 and argv[0] == "slice":
         from ..profiler.criteria import criteria_names
 
@@ -211,11 +233,7 @@ def main(argv) -> int:
                 f"available: {', '.join(criteria_names())}"
             )
             return 2
-        try:
-            return _slice(argv[1], engine=engine, criteria=criteria)
-        except ValueError as err:
-            print(f"error: {err}")
-            return 2
+        return _on_trace(_slice, argv[1], engine=engine, criteria=criteria)
     if len(argv) >= 3 and argv[0] == "convert":
         fmt, with_index = "v3", True
         for opt in argv[3:]:
@@ -232,8 +250,7 @@ def main(argv) -> int:
         try:
             return _convert(argv[1], argv[2], fmt=fmt, with_index=with_index)
         except (ValueError, OSError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+            return _error(err)
     if len(argv) >= 3 and argv[0] == "collect":
         fmt = "v2"
         for opt in argv[3:]:

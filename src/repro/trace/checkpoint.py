@@ -20,7 +20,9 @@ covers.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
@@ -166,11 +168,18 @@ class CheckpointImage:
 
     def save(self, path: Union[str, Path]) -> None:
         """Write atomically (tmp + replace): concurrent readers never see
-        a torn checkpoint, concurrent writers race benignly (last wins)."""
+        a torn checkpoint, concurrent writers race benignly (last wins).
+
+        Each writer fills its own temporary file (named by process and
+        thread), so one writer's replace cannot move another's file away.
+        """
         target = Path(path)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_bytes(self.to_bytes())
-        tmp.replace(target)
+        tmp = target.with_name(f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_bytes(self.to_bytes())
+            tmp.replace(target)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @staticmethod
     def load(path: Union[str, Path]) -> "CheckpointImage":

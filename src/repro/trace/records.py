@@ -170,9 +170,14 @@ NO_REGS: Tuple[int, ...] = ()
 NO_MEM: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceRecord:
     """One dynamically executed instruction.
+
+    Records are slotted (no per-instance ``__dict__``) and built by a
+    hand-written ``__init__`` with the generated one's signature: a trace
+    holds one record per executed instruction, so both the memory per
+    record and the construction cost matter.
 
     Attributes:
         tid: id of the thread that executed the instruction.
@@ -200,6 +205,32 @@ class TraceRecord:
     mem_written: Tuple[int, ...] = NO_MEM
     syscall: Optional[int] = None
     marker: Optional[str] = None
+
+    def __init__(
+        self,
+        tid: int,
+        pc: int,
+        kind: InstrKind,
+        fn: int,
+        regs_read: Tuple[int, ...] = NO_REGS,
+        regs_written: Tuple[int, ...] = NO_REGS,
+        mem_read: Tuple[int, ...] = NO_MEM,
+        mem_written: Tuple[int, ...] = NO_MEM,
+        syscall: Optional[int] = None,
+        marker: Optional[str] = None,
+    ) -> None:
+        # Frozen: bypass the raising __setattr__, looked up once per record.
+        set_field = object.__setattr__
+        set_field(self, "tid", tid)
+        set_field(self, "pc", pc)
+        set_field(self, "kind", kind)
+        set_field(self, "fn", fn)
+        set_field(self, "regs_read", regs_read)
+        set_field(self, "regs_written", regs_written)
+        set_field(self, "mem_read", mem_read)
+        set_field(self, "mem_written", mem_written)
+        set_field(self, "syscall", syscall)
+        set_field(self, "marker", marker)
 
     def touches_memory(self) -> bool:
         """Return True if the instruction accesses any memory location."""

@@ -1,10 +1,16 @@
 """Unit tests for paint (layers, display lists) and the compositor."""
 
+import random
+
 import pytest
 
 from repro.browser import BrowserEngine, EngineConfig, PageSpec
-from repro.browser.compositor.tiles import BLOCKS_PER_SIDE
+from repro.browser.compositor.host import CompositorHost
+from repro.browser.compositor.tiles import BLOCKS_PER_SIDE, CompositedLayer
+from repro.browser.context import EngineContext
 from repro.browser.layout.geometry import Rect
+from repro.browser.paint.display_list import DisplayItem, PaintLayer
+from repro.workloads import benchmark
 
 
 def load(html, css="", viewport=(640, 480), **config):
@@ -210,3 +216,120 @@ def test_frame_count_increments_on_draw():
     engine.ctx.tracer.switch(2)
     engine.compositor.draw_frame()
     assert engine.compositor.frame_count == before + 1
+
+
+# --------------------------------------------------------------------- #
+# Per-tile item lists                                                   #
+# --------------------------------------------------------------------- #
+
+
+def linear_items_for_tile(layer, tile):
+    """The reference spatial query: scan every committed item."""
+    return [
+        (item, cc_cell)
+        for item, cc_cell in layer.cc_items
+        if item.rect.intersects(tile.rect)
+    ]
+
+
+def assert_tile_lists_match_scan(layer):
+    for tile in layer.tiles.values():
+        assert list(layer.items_for_tile(tile)) == linear_items_for_tile(layer, tile), tile
+
+
+@pytest.mark.parametrize("name", ["ticker", "livefeed", "scrollseq"])
+def test_tile_lists_match_linear_scan_after_commit_and_recommit(name, monkeypatch):
+    calls = {"commit": 0, "recommit_span": 0}
+    commit, recommit_span = CompositorHost.commit, CompositorHost.recommit_span
+
+    def checked_commit(self, paint_layers):
+        commit(self, paint_layers)
+        calls["commit"] += 1
+        for layer in self.layers:
+            assert_tile_lists_match_scan(layer)
+
+    def checked_recommit_span(self, layer, start, n_removed, added):
+        recommit_span(self, layer, start, n_removed, added)
+        calls["recommit_span"] += 1
+        assert_tile_lists_match_scan(layer)
+
+    monkeypatch.setattr(CompositorHost, "commit", checked_commit)
+    monkeypatch.setattr(CompositorHost, "recommit_span", checked_recommit_span)
+    bench = benchmark(name)
+    engine = BrowserEngine(bench.config)
+    engine.load_page(bench.page)
+    engine.run_session(bench.actions)
+    assert calls["commit"] >= 1
+    if name != "scrollseq":  # scrolling alone repaints nothing
+        assert calls["recommit_span"] >= 1
+    for layer in engine.compositor.layers:
+        assert_tile_lists_match_scan(layer)
+
+
+def _random_rect(rng, extent):
+    """Rects with edges on or next to tile boundaries, zero or negative
+    sizes, and parts outside the grid."""
+
+    def boundary():
+        return float(256 * rng.randint(-2, extent // 256 + 2))
+
+    def coord():
+        roll = rng.random()
+        if roll < 0.3:
+            return boundary()
+        if roll < 0.5:
+            return boundary() + rng.choice((-0.5, 0.5, -1e-9, 1e-9))
+        return rng.uniform(-300.0, extent + 300.0)
+
+    def size(start):
+        roll = rng.random()
+        if roll < 0.15:
+            return 0.0
+        if roll < 0.3:
+            return -rng.uniform(0.0, 600.0)
+        if roll < 0.45:
+            return boundary() - start  # the far edge on a boundary
+        return rng.uniform(0.0, 900.0)
+
+    x, y = coord(), coord()
+    return Rect(x, y, size(x), size(y))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tile_lists_match_linear_scan_on_random_display_lists(seed):
+    rng = random.Random(seed)
+    bounds = Rect(
+        float(rng.choice((0, 10, 256))),
+        float(rng.choice((0, 37, 512))),
+        float(rng.randint(1, 1400)),
+        float(rng.randint(1, 1400)),
+    )
+    layer = CompositedLayer(EngineContext(), PaintLayer(1, bounds, 0, opaque=False))
+    extent = int(max(bounds.right, bounds.bottom))
+
+    def random_items(n):
+        return [
+            (DisplayItem("background", _random_rect(rng, extent), (i,)), 1000 + i)
+            for i in range(n)
+        ]
+
+    layer.commit_items(random_items(rng.randint(0, 120)))
+    assert_tile_lists_match_scan(layer)
+    for _ in range(8):
+        start = rng.randint(0, len(layer.cc_items))
+        n_removed = rng.randint(0, len(layer.cc_items) - start)
+        layer.splice_items(start, n_removed, random_items(rng.randint(0, 10)))
+        assert_tile_lists_match_scan(layer)
+
+
+def test_zero_width_item_inside_a_tile_is_on_it():
+    layer = CompositedLayer(
+        EngineContext(), PaintLayer(1, Rect(0, 0, 512, 256), 0, opaque=False)
+    )
+    inside = (DisplayItem("border", Rect(100, 10, 0, 50), (1,)), 1)
+    on_edge = (DisplayItem("border", Rect(256, 10, 0, 50), (2,)), 2)
+    past_edge = (DisplayItem("border", Rect(256.5, 10, 0, 50), (3,)), 3)
+    layer.commit_items([inside, on_edge, past_edge])
+    assert list(layer.items_for_tile(layer.tiles[(0, 0)])) == [inside]
+    assert list(layer.items_for_tile(layer.tiles[(1, 0)])) == [past_edge]
+    assert_tile_lists_match_scan(layer)

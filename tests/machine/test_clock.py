@@ -1,5 +1,8 @@
 """Unit tests for the virtual clock and busy accounting."""
 
+import random
+from collections import defaultdict
+
 import pytest
 
 from repro.machine.clock import VirtualClock
@@ -64,3 +67,48 @@ def test_series_x_axis_in_seconds():
     clock.idle(2_500_000)
     series = clock.utilization_series(tid=1)
     assert [x for x, _ in series] == pytest.approx([0.0, 1.0, 2.0])
+
+
+class LoopClock:
+    """The reference ``tick``: the bucket-splitting loop for every cost."""
+
+    def __init__(self, instr_cost_us, bucket_us=100_000):
+        self.instr_cost_us = instr_cost_us
+        self.bucket_us = bucket_us
+        self.now_us = 0.0
+        self.busy = defaultdict(float)
+
+    def tick(self, tid, instructions=1):
+        remaining = instructions * self.instr_cost_us
+        while remaining > 0:
+            bucket = int(self.now_us // self.bucket_us)
+            room = (bucket + 1) * self.bucket_us - self.now_us
+            step = min(remaining, room)
+            self.busy[(bucket, tid)] += step
+            self.now_us += step
+            remaining -= step
+
+    def idle(self, duration_us):
+        self.now_us += duration_us
+
+
+@pytest.mark.parametrize("instr_cost_us", [30.0, 0.7, 33.3, 1e5])
+@pytest.mark.parametrize("seed", range(4))
+def test_tick_matches_the_reference_loop_exactly(instr_cost_us, seed):
+    rng = random.Random(seed)
+    clock = VirtualClock(instr_cost_us=instr_cost_us)
+    reference = LoopClock(instr_cost_us)
+    for _ in range(2000):
+        if rng.random() < 0.05:
+            # Gaps of nothing, of any length, and to the next bucket edge.
+            to_edge = 100_000.0 - reference.now_us % 100_000.0
+            gap = rng.choice((0.0, rng.uniform(0.0, 250_000.0), to_edge))
+            clock.idle(gap)
+            reference.idle(gap)
+        else:
+            tid = rng.randint(1, 4)
+            instructions = rng.choice((0, 1, 1, 1, 2, rng.randint(1, 40)))
+            clock.tick(tid, instructions)
+            reference.tick(tid, instructions)
+        assert clock.now_us == reference.now_us
+    assert dict(clock._busy) == dict(reference.busy)

@@ -196,3 +196,15 @@ def test_function_context_manager_pops_on_exception():
             raise ValueError("boom")
     # The frame was popped: current function is the thread root again.
     assert tracer.symbols.name(tracer.current_function()) == "base::threading::ThreadMain"
+
+
+def test_function_context_manager_emits_ret_when_the_body_raises():
+    tracer = make_tracer()
+    with pytest.raises(ValueError, match="boom"):
+        with tracer.function("f"):
+            tracer.op("w")
+            raise ValueError("boom")
+    call, op, ret = tracer.store.records()
+    assert [call.kind, op.kind, ret.kind] == [InstrKind.CALL, InstrKind.OP, InstrKind.RET]
+    assert tracer.symbols.name(ret.fn) == "f"
+    assert ret.pc == tracer.pc_of("f", "$ret")

@@ -1,6 +1,8 @@
 """Checkpoint sidecars: image round-trip and the consistency lint check."""
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
@@ -38,6 +40,36 @@ def checkpoint(store):
 # --------------------------------------------------------------------- #
 # Image round-trip                                                      #
 # --------------------------------------------------------------------- #
+
+
+def test_concurrent_saves_to_one_path_all_succeed(checkpoint, tmp_path):
+    """Writers racing on one path (service workers slicing frames of one
+    trace) each succeed; the last replace wins and no temp file is left."""
+    image = checkpoint.to_image()
+    path = tmp_path / "t.ckpt"
+    errors = []
+
+    def writer():
+        try:
+            for _ in range(40):
+                image.save(path)
+        except OSError as err:
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert CheckpointImage.load(path).to_bytes() == image.to_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["t.ckpt"]
 
 
 def test_image_round_trip(checkpoint, tmp_path):

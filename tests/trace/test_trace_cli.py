@@ -173,3 +173,28 @@ def test_cli_slice_auto_runs_vectorized_on_an_indexed_v3_file(
     # Same fractions, line for line, whichever engine ran.
     strip = lambda out: [line for line in out.splitlines() if "engine" not in line]
     assert strip(v3_out) == strip(v2_out)
+
+
+@pytest.mark.parametrize("command", ["info", "lint", "slice"])
+@pytest.mark.parametrize("problem", ["missing", "not-a-trace"])
+def test_cli_unreadable_trace_is_an_error_not_a_traceback(command, problem, tmp_path, capsys):
+    path = tmp_path / "t.ucwa"
+    if problem == "not-a-trace":
+        path.write_text("localhost\n")
+    assert trace_main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["v2", "v3"])
+def test_cli_collect_checks_the_destination_before_simulating(fmt, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("collect simulated before checking its destination")
+
+    monkeypatch.setattr("repro.harness.experiments.run_engine", must_not_run)
+    path = tmp_path / "missing-dir" / "t.ucwa"
+    assert trace_main(["collect", "ticker", str(path), f"--format={fmt}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no such directory: {path.parent}\n"
+    assert not path.parent.exists()
