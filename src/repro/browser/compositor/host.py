@@ -571,6 +571,3 @@ class CompositorHost:
             if layer.paint is paint_layer:
                 return layer
         return None
-
-    def total_tiles(self) -> int:
-        return sum(layer.tile_count() for layer in self.layers)

@@ -47,8 +47,6 @@ class EngineConfig:
     worker_threads: int = 2
     #: extra prepaint margin rastered around the viewport, in pixels
     interest_margin: int = 512
-    #: device scale factor (mobile emulation uses 1 with a small viewport)
-    device_scale: float = 1.0
     #: also rasterize low-resolution duplicate tiles (Chromium's low-res
     #: tiling, prominent in mobile-emulated sessions; the duplicates are
     #: rarely displayed, so this work is usually wasted)

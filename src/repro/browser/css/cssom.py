@@ -77,9 +77,6 @@ class CSSOM:
     def all_rules(self) -> List[StyleRule]:
         return [rule for sheet in self.sheets for rule in sheet.rules]
 
-    def rule_count(self) -> int:
-        return sum(len(sheet.rules) for sheet in self.sheets)
-
     def total_bytes(self) -> int:
         return sum(sheet.source_bytes for sheet in self.sheets)
 

@@ -68,15 +68,6 @@ class SimpleSelector:
                 return False
         return True
 
-    def condition_count(self) -> int:
-        """Number of conditions checked (drives traced match cost)."""
-        count = len(self.classes) + len(self.attributes) + len(self.pseudos)
-        if self.tag is not None and self.tag != "*":
-            count += 1
-        if self.element_id is not None:
-            count += 1
-        return max(1, count)
-
 
 @dataclass(frozen=True)
 class Selector:

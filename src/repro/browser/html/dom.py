@@ -38,9 +38,6 @@ class Node:
             self._cells[field] = addr
         return addr
 
-    def has_cell(self, field: str) -> bool:
-        return field in self._cells
-
     def ancestors(self) -> Iterator["Element"]:
         node = self.parent
         while node is not None:
@@ -76,13 +73,6 @@ class Element(Node):
             child.parent.children.remove(child)
         child.parent = self
         self.children.append(child)
-        return child
-
-    def insert_before(self, child: Node, reference: Node) -> Node:
-        if child.parent is not None:
-            child.parent.children.remove(child)
-        child.parent = self
-        self.children.insert(self.children.index(reference), child)
         return child
 
     def remove_child(self, child: Node) -> Node:
@@ -175,15 +165,9 @@ class Document:
         tag = tag.lower()
         return [e for e in self.all_elements() if e.tag == tag]
 
-    def get_elements_by_class(self, name: str) -> List[Element]:
-        return [e for e in self.all_elements() if e.has_class(name)]
-
     def all_elements(self) -> Iterator[Element]:
         yield self.root
         yield from self.root.descendant_elements()
-
-    def element_count(self) -> int:
-        return sum(1 for _ in self.all_elements())
 
     def body(self) -> Optional[Element]:
         for child in self.root.child_elements():

@@ -92,9 +92,6 @@ class DirtySet:
     def __contains__(self, element: Element) -> bool:
         return element in self._levels
 
-    def level_of(self, element: Element) -> str:
-        return self._levels[element]
-
     def mark(self, element: Element, level: str = STYLE) -> None:
         previous = self._levels.get(element)
         self._levels[element] = level if previous is None else join(previous, level)

@@ -64,9 +64,6 @@ class PaintLayer:
     def add(self, item: DisplayItem) -> None:
         self.items.append(item)
 
-    def item_count(self) -> int:
-        return len(self.items)
-
     def is_root(self) -> bool:
         return self.owner is None
 

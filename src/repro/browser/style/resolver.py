@@ -48,13 +48,6 @@ class StyleResolver:
         for child in element.descendant_elements():
             self._invalid.add(child.node_id)
 
-    def needs_resolve(self, element: Element) -> bool:
-        """True if the element's computed style is missing or stale."""
-        return (
-            element.node_id not in self.computed
-            or element.node_id in self._invalid
-        )
-
     def resolve_document(self, document: Document) -> Dict[int, ComputedStyle]:
         """Resolve every element, parent before child (DOM order)."""
         with self.ctx.tracer.function("blink::css::StyleResolver::ResolveDocument"):

@@ -100,7 +100,3 @@ FIGURE5_TOP_CATEGORIES = ("JavaScript", "Debugging", "IPC")
 
 def table2_column(name: str) -> Table2Column:
     return TABLE2[name]
-
-
-def rasterizer_count(name: str) -> int:
-    return len(TABLE2[name].rasterizer_slices)

@@ -381,10 +381,6 @@ class PurityAnalysis:
     def of_script(self, url: str) -> PurityInfo:
         return self.regions[("top", url)]
 
-    def load_effects(self, url: str) -> PurityInfo:
-        """Everything executing ``url``'s top level can do synchronously."""
-        return self.of_script(url)
-
     def sync_closure(self, roots: Set[RegionKey]) -> Set[RegionKey]:
         """``roots`` plus every region synchronously reachable from them."""
         seen: Set[RegionKey] = set(roots)

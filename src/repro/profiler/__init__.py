@@ -45,7 +45,7 @@ from .incremental import (
     SliceCheckpoint,
     StreamingSliceSession,
 )
-from .oracle import OracleSlicer, oracle_slice
+from .oracle import OracleSlicer
 from .postdom import immediate_postdominators, postdominates
 from .redundancy import (
     FrameRedundancy,
@@ -59,7 +59,6 @@ from .slicer import (
     SliceResult,
     SlicerOptions,
     TimelineSample,
-    slice_trace,
 )
 from .stats import (
     SliceStatistics,
@@ -106,12 +105,10 @@ __all__ = [
     "SliceCheckpoint",
     "StreamingSliceSession",
     "OracleSlicer",
-    "oracle_slice",
     "SlicerOptions",
     "DEFAULT_OPTIONS",
     "SliceResult",
     "TimelineSample",
-    "slice_trace",
     "SliceStatistics",
     "ThreadStat",
     "compute_statistics",

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..machine.syscalls import BY_NUMBER
-from ..trace.records import InstrKind
 from ..trace.store import TraceStore
 
 
@@ -163,15 +161,3 @@ def custom_criteria(
         name=name,
         criteria=tuple(Criterion(index=i, cells=tuple(c)) for i, c in points),
     )
-
-
-def output_syscall_points(store: TraceStore) -> Tuple[int, ...]:
-    """Record indices of output syscalls (sendto/write/...), for reporting."""
-    points = []
-    for i, rec in enumerate(store.forward()):
-        if rec.kind != InstrKind.SYSCALL:
-            continue
-        model = BY_NUMBER.get(rec.syscall)
-        if model is not None and model.is_output:
-            points.append(i)
-    return tuple(points)

@@ -75,6 +75,10 @@ from .epoch import (
 )
 from .slicer import DEFAULT_OPTIONS, SliceResult, SlicerOptions
 
+#: regions whose records a :class:`StreamingSliceSession` keeps in memory;
+#: older regions re-materialize through the stream on a memo miss
+RESIDENT_REGIONS = 8
+
 
 def options_key(options: SlicerOptions) -> str:
     """Memo-compatibility fingerprint of the options that change flags."""
@@ -569,7 +573,7 @@ class _SessionSource:
 
     ``span`` serves region-aligned requests from the resident window
     first and falls back to the stream's re-reader for evicted regions,
-    so session memory stays bounded by ``keep_resident`` regions.
+    so session memory stays bounded by :data:`RESIDENT_REGIONS` regions.
     """
 
     def __init__(self, session: "StreamingSliceSession") -> None:
@@ -596,27 +600,21 @@ class StreamingSliceSession:
     pixel slice over the stream prefix, computed from the previous
     frame's checkpoint — the answer is byte-identical to running the
     sequential engine over the prefix, but steady-state frames touch
-    only the delta.  Memory stays bounded: at most ``keep_resident``
+    only the delta.  Memory stays bounded: at most :data:`RESIDENT_REGIONS`
     regions' records are held (older regions re-materialize through the
     stream on a memo miss), and the checkpoint holds only frontiers,
     flags, and footprints.
     """
 
     def __init__(
-        self,
-        stream: EpochStream,
-        options: SlicerOptions = DEFAULT_OPTIONS,
-        checkpoint: Optional[SliceCheckpoint] = None,
-        keep_resident: int = 8,
+        self, stream: EpochStream, checkpoint: Optional[SliceCheckpoint] = None
     ) -> None:
         self.stream = stream
-        self._options = options
         self.checkpoint = (
             checkpoint
             if checkpoint is not None
-            else SliceCheckpoint(options_key(options))
+            else SliceCheckpoint(options_key(DEFAULT_OPTIONS))
         )
-        self._keep_resident = max(1, keep_resident)
         self._cdi = IncrementalCDI()
         self.regions: List[Region] = []
         self.resident: Dict[int, List[TraceRecord]] = {}
@@ -636,7 +634,7 @@ class StreamingSliceSession:
         )
         self.regions.append(region)
         self.resident[region.index] = epoch.records
-        while len(self.resident) > self._keep_resident:
+        while len(self.resident) > RESIDENT_REGIONS:
             self.resident.pop(next(iter(self.resident)))
         self._cdi.feed(epoch.records)
         self.n_seen = region.hi
@@ -658,7 +656,6 @@ class StreamingSliceSession:
             criteria,
             checkpoint=self.checkpoint,
             regions=self.regions,
-            options=self._options,
         )
         result = slicer.run()
         in_slice = sum(result.flags[region.lo : region.hi])
@@ -715,8 +712,6 @@ def open_checkpoint(
 def stream_slice(
     source: Union[str, Path, TraceStore, object],
     checkpoint: Optional[SliceCheckpoint] = None,
-    options: SlicerOptions = DEFAULT_OPTIONS,
-    keep_resident: int = 8,
 ) -> Iterator[IncrementalFrameResult]:
     """Slice every frame of a UCWA source as its epoch arrives.
 
@@ -729,10 +724,4 @@ def stream_slice(
     """
     from ..trace.stream import open_epoch_stream
 
-    session = StreamingSliceSession(
-        open_epoch_stream(source),
-        options=options,
-        checkpoint=checkpoint,
-        keep_resident=keep_resident,
-    )
-    return session.results()
+    return StreamingSliceSession(open_epoch_stream(source), checkpoint).results()

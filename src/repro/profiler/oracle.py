@@ -219,16 +219,3 @@ class OracleSlicer:
         result.engine_stats = {"engine": "oracle"}
         return result
 
-
-def oracle_slice(
-    store: TraceStore,
-    criteria: SlicingCriteria,
-    cdi: Optional[ControlDependenceIndex] = None,
-    options: SlicerOptions = DEFAULT_OPTIONS,
-) -> SliceResult:
-    """One-call convenience mirroring :func:`.slicer.slice_trace`."""
-    if cdi is None:
-        from .cdg import build_index
-
-        cdi = build_index(store.forward())
-    return OracleSlicer(store, cdi, criteria, options=options).run()

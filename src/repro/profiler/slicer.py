@@ -173,26 +173,3 @@ class BackwardSlicer:
             engine_stats={"engine": "sequential"},
         )
 
-
-def slice_trace(
-    store: TraceStore,
-    criteria: SlicingCriteria,
-    cdi: Optional[ControlDependenceIndex] = None,
-    sample_every: Optional[int] = None,
-    engine: str = "auto",
-    checkpoint=None,
-) -> SliceResult:
-    """One-call convenience: forward pass (if needed) + backward pass.
-
-    A thin call into :meth:`repro.profiler.api.Profiler.slice`, with
-    ``cdi`` (when given) as the profiler's forward-pass result, so engine
-    names, ``"auto"`` and engine validation live in one place.
-    """
-    from .api import Profiler
-
-    return Profiler(store, cdi=cdi).slice(
-        criteria,
-        sample_every=sample_every,
-        engine=engine,
-        checkpoint=checkpoint,
-    )

@@ -24,10 +24,10 @@ stream is what a v3 file caches in its ``EDGE`` section — a cold slice
 then skips straight to the sweep.
 
 Equivalence with the liveness formulation is argued in
-:mod:`.oracle` and enforced by ``tests/profiler/test_vectorized_differential.py``
-(byte-identical flags and categories across engines).  The engine
-returns flags only: Figure-4 timelines and join reasons come from the
-sequential engine.
+:mod:`.oracle` and enforced by the conformance matrix in
+``tests/conformance/`` (byte-identical flags, statistics and categories
+on every trace source).  The engine returns flags only: Figure-4
+timelines and join reasons come from the sequential engine.
 """
 
 from __future__ import annotations
@@ -261,9 +261,8 @@ def build_edges(
 
                 qpc = np.searchsorted(ubpc, dep_pc)
                 present = qpc < len(ubpc)
-                present &= (
-                    ubpc[np.minimum(qpc, max(len(ubpc) - 1, 0))] == dep_pc
-                )
+                if len(ubpc):  # a trace may have no branch records at all
+                    present &= ubpc[np.minimum(qpc, len(ubpc) - 1)] == dep_pc
                 ctrl_src = ctrl_src[present]
                 qtid = np.searchsorted(
                     utid, cols.tid[ctrl_src].astype(np.int64)

@@ -18,10 +18,14 @@ Cache keys follow the recipe in ``docs/profiling-service.md``::
 Reads check a bounded in-memory LRU first, then the on-disk JSON store
 (``<dir>/results/<key>.json``); disk hits are promoted into the LRU.
 Writes go straight through to disk, so a daemon restart keeps its warm
-set.  The workload→digest memo (:class:`WorkloadDigestMemo`) lets the
-server answer a repeat *workload* submit without even re-running the
-workload: the first run records the digest its deterministic trace
-hashed to, also keyed by ``code_version``.
+set.  Each file is sealed: a first line holding the sha256 of the
+payload's canonical JSON (:func:`payload_seal`), then that JSON.  A read
+whose seal does not match, or that finds no seal, is a miss and deletes
+the file, so a damaged entry costs a recompute, never a wrong answer.
+The workload→digest memo (:class:`WorkloadDigestMemo`) lets the server
+answer a repeat *workload* submit without even re-running the workload:
+the first run records the digest its deterministic trace hashed to, also
+keyed by ``code_version``.
 
 The disk tier has a lifecycle (docs/profiling-service.md, "Eviction and
 TTL"): byte counts are tracked on every put/evict (``cache_bytes`` in
@@ -76,6 +80,31 @@ def code_version() -> str:
 _CODE_VERSION: Optional[str] = None
 
 
+def payload_seal(payload: Dict[str, Any]) -> str:
+    """sha256 of a result payload's canonical JSON, the form a cache file
+    and a warm-handoff entry carry it in."""
+    return hashlib.sha256(_canonical(payload)).hexdigest()
+
+
+def _canonical(payload: Dict[str, Any]) -> bytes:
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+#: bytes of a cache file's seal line (64 hex digits and a newline)
+_SEAL_LINE = 65
+
+
+def _unseal(data: bytes) -> Dict[str, Any]:
+    """The payload of a cache file; ``ValueError`` unless the seal matches."""
+    seal, _, raw = data.partition(b"\n")
+    if hashlib.sha256(raw).hexdigest().encode("ascii") != seal:
+        raise ValueError("cache entry does not match its seal")
+    payload = json.loads(raw)
+    if not isinstance(payload, dict):
+        raise ValueError("cache entry is not a JSON object")
+    return payload
+
+
 def cache_key(
     trace_digest: str,
     criteria: str,
@@ -116,9 +145,10 @@ class ResultCache:
 
     ``max_bytes`` bounds the disk tier (least-recently-used entries are
     evicted on overflow; the entry just written always survives its own
-    put), ``ttl_s`` expires entries by age since storage.  ``clock`` is
-    injectable for deterministic lifecycle tests and defaults to
-    :func:`time.monotonic`.
+    put), ``ttl_s`` expires entries by age since storage.  The byte
+    ledger counts each entry's payload JSON, not its seal line.
+    ``clock`` is injectable for deterministic lifecycle tests and defaults
+    to :func:`time.monotonic`.
     """
 
     def __init__(
@@ -161,7 +191,8 @@ class ResultCache:
             except OSError:  # pragma: no cover — raced removal
                 continue
             age = max(0.0, wall - stat.st_mtime)
-            entry = _DiskEntry(stat.st_size, now - age, now - age)
+            size = max(0, stat.st_size - _SEAL_LINE)
+            entry = _DiskEntry(size, now - age, now - age)
             self._index[path.stem] = entry
             self._bytes += entry.size
         self._enforce_budget()
@@ -218,16 +249,8 @@ class ResultCache:
                     entry.used = self._clock()
                 self.memory_hits += 1
                 return payload, "memory"
-            path = self._path(key)
-            try:
-                payload = json.loads(path.read_text("utf-8"))
-            except FileNotFoundError:
-                self.misses += 1
-                return None
-            except (OSError, json.JSONDecodeError):
-                # A torn or corrupt entry is a miss; drop it so the slot
-                # heals on the next put.
-                self._drop_disk(key)
+            payload = self._read_disk(key)
+            if payload is None:
                 self.misses += 1
                 return None
             self.disk_hits += 1
@@ -237,6 +260,17 @@ class ResultCache:
             self._remember(key, payload)
             return payload, "disk"
 
+    def _read_disk(self, key: str) -> Optional[Dict[str, Any]]:
+        """A disk entry whose seal matches, or None.  A torn, damaged or
+        unsealed entry is dropped so the slot heals on the next put."""
+        try:
+            return _unseal(self._path(key).read_bytes())
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            self._drop_disk(key)
+            return None
+
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Like :meth:`lookup` but returns the payload alone."""
         found = self.lookup(key)
@@ -244,28 +278,27 @@ class ResultCache:
 
     def peek(self, key: str) -> Optional[Dict[str, Any]]:
         """Read a payload without counting hits/misses or touching LRU
-        order (warm-handoff enumeration must not distort the stats)."""
+        order (warm-handoff enumeration must not distort the stats); a
+        damaged disk entry is dropped, as :meth:`lookup` drops it."""
         with self._lock:
             payload = self._lru.get(key)
             if payload is not None:
                 return payload
-            try:
-                return json.loads(self._path(key).read_text("utf-8"))
-            except (OSError, json.JSONDecodeError):
-                return None
+            return self._read_disk(key)
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Store a result in both tiers (write-through)."""
-        raw = json.dumps(payload, sort_keys=True)
+        raw = _canonical(payload)
+        sealed = hashlib.sha256(raw).hexdigest().encode("ascii") + b"\n" + raw
         with self._lock:
             old = self._index.get(key)
             if old is not None:
                 self._bytes -= old.size
             tmp = self._path(key).with_suffix(".tmp")
-            tmp.write_text(raw, "utf-8")
+            tmp.write_bytes(sealed)
             tmp.replace(self._path(key))
             now = self._clock()
-            size = len(raw.encode("utf-8"))
+            size = len(raw)
             self._index[key] = _DiskEntry(size, now, now)
             self._bytes += size
             self._remember(key, payload)

@@ -216,14 +216,3 @@ class FleetClient:
     def drain(self, shard_id: str) -> Dict[str, Any]:
         """Ask one shard to hand off its warm state and stop."""
         return self._clients[shard_id].drain()
-
-    def shutdown_all(self, drain: bool = True) -> List[str]:
-        """Stop every reachable shard; returns the ids that acknowledged."""
-        stopped = []
-        for shard_id, client in self._clients.items():
-            try:
-                client.shutdown(drain=drain)
-                stopped.append(shard_id)
-            except ServiceError:
-                continue
-        return stopped

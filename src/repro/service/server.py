@@ -54,7 +54,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..trace.store import file_digest
 from . import protocol
-from .cache import ResultCache, WorkloadDigestMemo, cache_key
+from .cache import ResultCache, WorkloadDigestMemo, cache_key, payload_seal
 from .client import ServiceClient, ServiceError
 from .fleet.ring import FleetConfig, HashRing
 from .fleet.upload import UploadError, UploadSession, UploadStore
@@ -69,6 +69,17 @@ HANDOFF_BATCH = 64
 #: At most this many cache entries ship during a drain — the *hot* end
 #: of the LRU order; a cold tail is cheaper to recompute than to copy.
 HANDOFF_MAX_ENTRIES = 512
+
+
+def _result_entry(key: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A warm-handoff result entry; the receiver stores it only if the
+    payload still matches its seal."""
+    return {
+        "kind": "result",
+        "key": key,
+        "payload": payload,
+        "sha256": payload_seal(payload),
+    }
 
 
 @dataclass
@@ -849,6 +860,7 @@ class ProfilingServer:
                     isinstance(key, str)
                     and len(key) == 64
                     and isinstance(payload, dict)
+                    and entry.get("sha256") == payload_seal(payload)
                 ):
                     self.cache.put(key, payload)
                     accepted += 1
@@ -915,7 +927,7 @@ class ProfilingServer:
             if payload is None:
                 continue
             batches.setdefault(reduced.owner(key), []).append(
-                {"kind": "result", "key": key, "payload": payload}
+                _result_entry(key, payload)
             )
         from ..trace.checkpoint import CHECKPOINT_SUFFIX
 
@@ -962,7 +974,7 @@ class ProfilingServer:
             self._peer(owner).request(
                 {
                     "op": "handoff",
-                    "entries": [{"kind": "result", "key": key, "payload": payload}],
+                    "entries": [_result_entry(key, payload)],
                 },
                 timeout_s=10.0,
             )

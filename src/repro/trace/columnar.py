@@ -433,13 +433,6 @@ class ColumnarTrace:
         cols._materialized = list(records)
         return cols
 
-    def to_store(self) -> TraceStore:
-        """Materialize a row-oriented :class:`TraceStore` (shares symbols
-        and metadata objects with this trace)."""
-        store = TraceStore(self.symbols, self.metadata)
-        store.extend(self.records())
-        return store
-
 
 # --------------------------------------------------------------------- #
 # Writer                                                                #

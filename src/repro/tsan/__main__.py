@@ -7,12 +7,14 @@ Usage::
     python -m repro.tsan locks [--workload NAME] [--json]
     python -m repro.tsan report [--json] [--no-recall]
 
-``races`` replays a saved trace (or a registered workload, run live so
-memory-cell names are available) through the happens-before detector and
-exits non-zero if any race is found.  ``locks`` runs the static lock-order
-analysis — with ``--workload`` it also cross-references the statically
-predicted orders against the orders that run actually exercised — and
-exits non-zero on cycles, inversions, or unpredicted observed orders.
+``races`` replays a saved trace of either UCWA format (or a registered
+workload, run live so memory-cell names are available) through the
+happens-before detector and exits 1 if any race is found; a trace path
+that cannot be read prints ``error: ...`` and exits 2.  ``locks`` runs
+the static lock-order analysis — with ``--workload`` it also
+cross-references the statically predicted orders against the orders
+that run actually exercised — and exits non-zero on cycles, inversions,
+or unpredicted observed orders.
 ``report`` produces the full sanitizer report (paper workloads, fuzz
 recall, lock order) and exits non-zero unless every workload is race-free,
 recall is >= 0.9, and the lock-order graph is clean.
@@ -66,10 +68,16 @@ def _races(argv: List[str]) -> int:
         store, namer = _load_workload(workload)
         label = workload
     else:
-        from ..trace.store import load_trace
+        from ..trace.store import load_any_trace
 
         assert path is not None
-        store, namer, label = load_trace(path), None, path
+        try:
+            store = load_any_trace(path)
+        except (ValueError, OSError) as err:
+            # Exit 1 means "races found": an unreadable trace is exit 2.
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        namer, label = None, path
     report = detect_races(store, cell_names=namer)
     if as_json:
         print(json.dumps({"trace": label, **report.to_json()}, indent=2))

@@ -1,19 +1,13 @@
-"""Differential testing: chained epochs ≡ sequential ≡ oracle.
+"""Differential testing: chained epochs ≡ sequential ≡ oracle, per seed.
 
-Three implementations of the backward slice are run over the same
-randomized traces and must produce identical sliced-record sets:
-
-* the streaming sequential pass (``profiler/slicer.py``),
-* the epoch core (``profiler/epoch.py``) chained over small fixed-size
-  epochs, so non-empty frontiers cross many epoch boundaries
-  (``epoch_chain.py``),
-* the transitive-closure oracle (``profiler/oracle.py``).
-
-The trio makes single-implementation bugs visible: the oracle shares no
-code or formulation with the streaming passes, so a bug would have to be
-reimplemented three independent ways to slip through.  On mismatch the
-failing seed is in the assertion message; ``random_trace(seed)``
-reproduces the trace exactly.
+The conformance check :func:`tests.conformance.checks.assert_reference_trio`
+over every fuzz seed: the sequential reference must equal the
+transitive-closure oracle and the epoch core chained over small epochs,
+and its sampled timelines and join reasons must agree with its flags.
+The oracle shares no code or formulation with the streaming passes, so
+a bug would have to be reimplemented three independent ways to slip
+through.  On mismatch the input is in the assertion message;
+``tests/conformance/inputs.py`` names the generator and seed.
 """
 
 from __future__ import annotations
@@ -21,103 +15,28 @@ from __future__ import annotations
 import pytest
 
 from repro.profiler import Profiler
-from repro.profiler.cdg import build_index
-from repro.profiler.criteria import (
-    combined_criteria,
-    pixel_criteria,
-    syscall_criteria,
-)
 from repro.profiler.epoch import SliceFrontier
-from repro.profiler.oracle import OracleSlicer
-from repro.profiler.slicer import BackwardSlicer, SlicerOptions
-from repro.trace.lint import lint_or_raise
-from repro.workloads.fuzz import random_page, random_trace
+from repro.workloads.fuzz import random_trace
 
-from .epoch_chain import chained_epoch_slice
-
-# 60 seeds x 3 criteria = 180 randomized differential runs.
-SEEDS = range(60)
-
-REASONS = SlicerOptions(track_reasons=True)
+from ..conformance.checks import assert_reference_trio
 
 
-def _criteria_variants(store):
-    variants = [syscall_criteria(store)]
-    if store.metadata.tile_buffers:
-        variants.append(pixel_criteria(store))
-        variants.append(combined_criteria(store))
-    return variants
-
-
-def _assert_equivalent(store, seed, *, epoch_size):
-    # Sanitize first: a malformed trace would make any slicer agreement
-    # (or disagreement) meaningless.
-    lint_or_raise(store)
-    cdi = build_index(store.forward())
-    for criteria in _criteria_variants(store):
-        seq = BackwardSlicer(store, cdi, criteria).run()
-        chain = chained_epoch_slice(store, cdi, criteria, epoch_size)
-        orc = OracleSlicer(store, cdi, criteria).run()
-        label = f"seed={seed} criteria={criteria.name}"
-        assert bytes(chain.flags) == bytes(seq.flags), (
-            f"chained epochs != sequential for {label}; "
-            f"first diffs at {_diff_indices(seq.flags, chain.flags)}"
-        )
-        assert bytes(orc.flags) == bytes(seq.flags), (
-            f"oracle != sequential for {label}; "
-            f"first diffs at {_diff_indices(seq.flags, orc.flags)}"
-        )
-        # Sampling a timeline rides along the same walk: it changes
-        # neither flags nor reasons, and its last sample is the slice.
-        reasons = BackwardSlicer(store, cdi, criteria, options=REASONS).run()
-        sampled = BackwardSlicer(
-            store, cdi, criteria, sample_every=7, options=REASONS
-        ).run()
-        assert bytes(sampled.flags) == bytes(seq.flags), label
-        assert sampled.reasons == reasons.reasons, label
-        last = sampled.timeline[-1]
-        assert (last.processed, last.in_slice) == (
-            len(store), sampled.slice_size()
-        ), label
-
-
-def _diff_indices(a, b, limit=10):
-    return [i for i, (x, y) in enumerate(zip(a, b)) if x != y][:limit]
-
-
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", range(60))
 def test_random_traces_all_engines_agree(seed):
-    store = random_trace(seed, target_records=1_500 + 100 * (seed % 7))
-    # Small epochs force many frontier hand-offs.
-    _assert_equivalent(store, seed, epoch_size=128 + 13 * (seed % 5))
+    assert_reference_trio(f"random-{seed}")
 
 
 @pytest.mark.parametrize("seed", (7, 21))
 def test_random_pages_all_engines_agree(seed):
-    """Full engine-generated traces from randomized synthetic pages."""
-    from repro.harness.experiments import run_engine
-    from repro.tsan.detector import detect_races
-
-    bench = random_page(seed, n_actions=1)
-    store = run_engine(bench, metrics_ticks=1).trace_store()
-    # Engine-generated traces must also be race-free under the concurrency
-    # sanitizer: an unsynchronized cross-thread pair would make the slice
-    # depend on interleaving, voiding the engine comparison.
-    report = detect_races(store)
-    assert report.ok, "\n".join(r.describe() for r in report.races[:5])
-    _assert_equivalent(store, seed, epoch_size=max(256, len(store) // 13))
+    """Full engine-generated traces from randomized synthetic pages,
+    race-free under the concurrency sanitizer."""
+    assert_reference_trio(f"page-{seed}")
 
 
 @pytest.mark.parametrize("seed", (3, 11))
 def test_sync_fuzz_traces_slice_identically(seed):
-    """Well-synchronized fuzz traces through all three slicers too."""
-    from repro.tsan.detector import detect_races
-    from repro.workloads.fuzz import random_sync_trace
-
-    store, injected = random_sync_trace(seed, target_records=2_000)
-    assert not injected
-    assert detect_races(store).ok
-    _assert_equivalent(store, seed, epoch_size=256)
+    """Well-synchronized, race-free fuzz traces through all three slicers."""
+    assert_reference_trio(f"sync-{seed}")
 
 
 def test_engine_switch_on_profiler_api():

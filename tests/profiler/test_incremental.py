@@ -1,9 +1,11 @@
 """Incremental engine: registration, checkpoint reuse, adversarial traces.
 
 The differential guarantee (incremental ≡ sequential ≡ vectorized, byte
-for byte) is fuzz-tested in ``test_incremental_differential.py``; this
-module covers the engine plumbing and the cases a region-memoizing
-engine is most likely to get wrong:
+for byte, on every trace source) is checked by the conformance matrix in
+``tests/conformance/``, whose inputs include the three hand-built traces
+below, and by its frame-seed sweep in ``test_incremental_differential.py``;
+this module covers the engine plumbing and the records a
+region-memoizing engine is most likely to get wrong:
 
 * a slice whose dependence chain crosses a frame boundary,
 * a chain reaching back **two** frames (the middle frame must thread the
@@ -16,10 +18,8 @@ engine is most likely to get wrong:
 
 import pytest
 
-from repro.browser import BrowserEngine
-from repro.machine import Tracer
-from repro.machine.tracer import TILE_MARKER
 from repro.profiler import Profiler
+from repro.profiler.api import ENGINES
 from repro.profiler.cdg import build_index
 from repro.profiler.criteria import syscall_criteria
 from repro.profiler.incremental import (
@@ -28,18 +28,21 @@ from repro.profiler.incremental import (
     options_key,
 )
 from repro.profiler.redundancy import frame_pixel_criteria
-from repro.profiler.slicer import DEFAULT_OPTIONS, SlicerOptions, slice_trace
-from repro.workloads import benchmark
+from repro.profiler.slicer import DEFAULT_OPTIONS, SlicerOptions
 from repro.workloads.fuzz import random_trace
+
+from ..conformance.inputs import (
+    cross_frame_trace,
+    empty_frame_trace,
+    open_source,
+    trace,
+    two_frames_back_trace,
+)
 
 
 @pytest.fixture(scope="module")
 def ticker_store():
-    bench = benchmark("ticker")
-    engine = BrowserEngine(bench.config)
-    engine.load_page(bench.page)
-    engine.run_session(bench.actions)
-    return engine.trace_store()
+    return trace("ticker")
 
 
 # --------------------------------------------------------------------- #
@@ -58,20 +61,14 @@ def test_profiler_engine_matches_sequential(ticker_store):
     assert inc.engine_stats["records_total"] == len(ticker_store)
 
 
-def test_slice_trace_engine_matches_sequential(ticker_store):
-    span = ticker_store.frame_spans()[2]
-    criteria = frame_pixel_criteria(ticker_store, span)
-    cdi = build_index(ticker_store.records())
-    seq = slice_trace(ticker_store, criteria, cdi=cdi)
-    inc = slice_trace(ticker_store, criteria, cdi=cdi, engine="incremental")
-    assert bytes(inc.flags) == bytes(seq.flags)
-
-
-def test_unknown_engine_rejected(ticker_store):
-    span = ticker_store.frame_spans()[0]
-    criteria = frame_pixel_criteria(ticker_store, span)
-    with pytest.raises(ValueError, match="incremental"):
-        Profiler(ticker_store).slice(criteria, engine="sideways")
+def test_unknown_engine_rejected(source_paths):
+    """On a row store and an indexed file alike, the error names the
+    unknown engine and every registered one."""
+    for store in (trace("frame-2"), open_source("frame-2", "ucwa3-index", source_paths)):
+        for engine in ("sideways", "turbo", "parallel"):
+            with pytest.raises(ValueError) as err:
+                Profiler(store).pixel_slice(engine=engine)
+            assert all(name in str(err.value) for name in (repr(engine), *ENGINES))
 
 
 @pytest.mark.parametrize(
@@ -167,111 +164,44 @@ def test_checkpoint_disk_resume(ticker_store, tmp_path):
 # --------------------------------------------------------------------- #
 
 
-def _frame(tracer, frame_id, kind, body):
-    tracer.frame_begin(frame_id, kind)
-    body()
-    tracer.frame_end(frame_id)
+def _frame_slice(store, frame):
+    """Frame ``frame``'s pixel slice, by the incremental engine."""
+    criteria = frame_pixel_criteria(store, store.frame_spans()[frame])
+    profiler = Profiler(store, cdi=build_index(store.records()))
+    return profiler.slice(criteria, engine="incremental")
 
 
-def _assert_engines_agree(store, span):
-    criteria = frame_pixel_criteria(store, span)
-    cdi = build_index(store.records())
-    seq = slice_trace(store, criteria, cdi=cdi)
-    inc = slice_trace(store, criteria, cdi=cdi, engine="incremental")
-    assert bytes(inc.flags) == bytes(seq.flags)
-    return seq
+def _written(store, cell):
+    return next(
+        i for i, r in enumerate(store.records()) if r.mem_written == (cell,)
+    )
 
 
 def test_cross_frame_memory_dependence():
     """Frame 1's paint reads a cell only frame 0 wrote: the producing
     write in frame 0 must be in frame 1's slice."""
-    tracer = Tracer()
-    tracer.spawn_thread(1, "CrRendererMain", "main_loop")
-
-    def load():
-        tracer.op("model_init", writes=(0x100,))
-        tracer.op("paint0", writes=(0x200,))
-        tracer.marker(TILE_MARKER, (0x200,))
-
-    def update():
-        tracer.op("style", reads=(0x100,), writes=(0x201,))
-        tracer.op("paint1", reads=(0x201,), writes=(0x202,))
-        tracer.marker(TILE_MARKER, (0x202,))
-
-    _frame(tracer, 0, "load", load)
-    _frame(tracer, 1, "update", update)
-    store = tracer.store
-    producer = next(
-        i for i, r in enumerate(store.records()) if r.mem_written == (0x100,)
+    store = cross_frame_trace()
+    result = _frame_slice(store, 1)
+    assert result.flags[_written(store, 0x100)], (
+        "cross-frame producer must be in the slice"
     )
-    seq = _assert_engines_agree(store, store.frame_spans()[1])
-    assert seq.flags[producer], "cross-frame producer must be in the slice"
 
 
 def test_slice_reaches_back_two_frames():
     """The dependence chain skips the middle frame entirely, so the
     incremental walk must pass the frontier through frame 1 unresolved
     and land it on frame 0's write."""
-    tracer = Tracer()
-    tracer.spawn_thread(1, "CrRendererMain", "main_loop")
-
-    def load():
-        tracer.op("deep_init", writes=(0x300,))
-        tracer.op("paint0", writes=(0x400,))
-        tracer.marker(TILE_MARKER, (0x400,))
-
-    def middle():
-        tracer.op("unrelated", writes=(0x310,))
-        tracer.op("paint1", reads=(0x310,), writes=(0x401,))
-        tracer.marker(TILE_MARKER, (0x401,))
-
-    def late():
-        tracer.op("paint2", reads=(0x300,), writes=(0x402,))
-        tracer.marker(TILE_MARKER, (0x402,))
-
-    _frame(tracer, 0, "load", load)
-    _frame(tracer, 1, "update", middle)
-    _frame(tracer, 2, "update", late)
-    store = tracer.store
-    records = list(store.records())
-    deep = next(
-        i for i, r in enumerate(records) if r.mem_written == (0x300,)
+    store = two_frames_back_trace()
+    result = _frame_slice(store, 2)
+    assert result.flags[_written(store, 0x300)], "chain must reach back two frames"
+    assert not result.flags[_written(store, 0x310)], (
+        "middle frame's work is off-chain"
     )
-    unrelated = next(
-        i for i, r in enumerate(records) if r.mem_written == (0x310,)
-    )
-    seq = _assert_engines_agree(store, store.frame_spans()[2])
-    assert seq.flags[deep], "chain must reach back two frames"
-    assert not seq.flags[unrelated], "middle frame's work is off-chain"
 
 
 def test_empty_frame():
     """A frame that rasters nothing yields empty criteria and an
-    all-zero slice — and must not derail neighbouring frames."""
-    tracer = Tracer()
-    tracer.spawn_thread(1, "CrRendererMain", "main_loop")
-
-    def load():
-        tracer.op("init", writes=(0x500,))
-        tracer.op("paint0", writes=(0x600,))
-        tracer.marker(TILE_MARKER, (0x600,))
-
-    def idle():
-        tracer.op("tick", reads=(0x500,))
-
-    def update():
-        tracer.op("paint2", reads=(0x500,), writes=(0x601,))
-        tracer.marker(TILE_MARKER, (0x601,))
-
-    _frame(tracer, 0, "load", load)
-    _frame(tracer, 1, "update", idle)
-    _frame(tracer, 2, "update", update)
-    store = tracer.store
-    spans = store.frame_spans()
-    empty = frame_pixel_criteria(store, spans[1])
-    assert not empty.criteria
-    cdi = build_index(store.records())
-    inc = slice_trace(store, empty, cdi=cdi, engine="incremental")
-    assert not any(inc.flags)
-    for span in (spans[0], spans[2]):
-        _assert_engines_agree(store, span)
+    all-zero slice."""
+    store = empty_frame_trace()
+    assert not frame_pixel_criteria(store, store.frame_spans()[1]).criteria
+    assert not any(_frame_slice(store, 1).flags)

@@ -1,115 +1,59 @@
-"""Differential testing: incremental ≡ sequential ≡ vectorized, per frame.
+"""Differential testing: incremental ≡ sequential ≡ vectorized, per seed.
 
-Randomized multi-frame traces (:func:`repro.workloads.fuzz.
-random_frame_trace`) are sliced frame by frame three ways:
+The conformance checks of ``tests/conformance/checks.py`` over every
+randomized multi-frame trace (``frame-<seed>``:
+:func:`repro.workloads.fuzz.random_frame_trace`, with a raster-free
+frame 2 on every third seed):
 
-* the sequential reference pass (``BackwardSlicer``),
-* the incremental region-memoizing engine **sharing one checkpoint
-  across all frames** — the sharing is the point: a memo recorded while
-  slicing frame 2 is consulted while slicing frame 5, so any unsound
-  reuse shows up as a flag mismatch,
-* the vectorized columnar engine (an independent formulation, so a bug
-  would have to be implemented twice to slip through).
-
-Every seed also drives :class:`StreamingSliceSession` over the store's
-epoch stream and compares each frame's streaming answer against a
-sequential slice of the *stream prefix* (fresh CDI per prefix) — the
-engine's stated contract.  On mismatch the failing seed is in the
-assertion message; ``random_frame_trace(seed)`` reproduces the trace
-exactly.
+* the incremental region-memoizing engine runs every query (each
+  frame's pixels, the whole-trace families) with a fresh checkpoint,
+  with one checkpoint **shared across the sweep**, and with one saved
+  to disk and reloaded mid-sweep — the sharing is the point: a memo
+  recorded while slicing frame 2 is consulted while slicing frame 3,
+  so any unsound reuse shows up as a flag mismatch;
+* the vectorized columnar engine runs the same queries (an independent
+  formulation, so a bug would have to be implemented twice to slip
+  through);
+* :class:`StreamingSliceSession` over the epoch stream of the row store,
+  a UCWA2 file and a UCWA3 file must answer each frame like a
+  sequential slice of the *stream prefix* (fresh CDI per prefix).
 """
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.profiler.cdg import build_index
-from repro.profiler.incremental import (
-    IncrementalSlicer,
-    SliceCheckpoint,
-    StreamingSliceSession,
-)
-from repro.profiler.redundancy import frame_pixel_criteria
-from repro.profiler.slicer import BackwardSlicer, slice_trace
-from repro.profiler.vectorized import VectorizedSlicer
-from repro.trace.columnar import ColumnarTrace
-from repro.trace.lint import lint_or_raise
-from repro.trace.store import TraceStore
+from repro.profiler.incremental import RESIDENT_REGIONS, StreamingSliceSession
 from repro.trace.stream import open_epoch_stream
 from repro.workloads.fuzz import random_frame_trace
 
-SEEDS = range(60)
-
-#: a subset of seeds gets an injected raster-free frame (the hardest
-#: region shape: real records, empty criteria)
-def _build(seed: int) -> TraceStore:
-    empty_at = 2 if seed % 3 == 1 else None
-    return random_frame_trace(seed, empty_frame_at=empty_at)
+from ..conformance.checks import assert_engine, assert_streaming
+from ..conformance.inputs import trace
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_three_engines_agree_per_frame(seed):
-    store = _build(seed)
-    lint_or_raise(store)
-    spans = [s for s in store.frame_spans() if s.complete]
-    assert len(spans) >= 4, f"seed {seed}: expected 4 complete frames"
-    cdi = build_index(store.records())
-    cols = ColumnarTrace.from_store(store)
-    checkpoint = SliceCheckpoint()
-    for span in spans:
-        criteria = frame_pixel_criteria(store, span)
-        seq = BackwardSlicer(store, cdi, criteria).run()
-        inc = IncrementalSlicer(
-            store, cdi, criteria, checkpoint=checkpoint
-        ).run()
-        vec = VectorizedSlicer(cols, cdi, criteria).run()
-        assert bytes(inc.flags) == bytes(seq.flags), (
-            f"seed {seed} frame {span.frame_id}: incremental != sequential"
-        )
-        assert bytes(vec.flags) == bytes(seq.flags), (
-            f"seed {seed} frame {span.frame_id}: vectorized != sequential"
-        )
+@pytest.mark.parametrize("seed", range(60))
+def test_three_engines_agree_per_frame(seed, source_paths, tmp_path):
+    name = f"frame-{seed}"
+    spans = [s for s in trace(name).frame_spans() if s.complete]
+    assert len(spans) >= 4, f"{name}: expected 4 complete frames"
+    for engine in ("incremental", "vectorized"):
+        assert_engine(name, "row", engine, source_paths, tmp_path)
 
 
-# The streaming contract (answers over growing prefixes with an
-# incrementally-maintained CDI) re-slices every prefix sequentially, so
-# it runs on a smaller seed set.
-STREAM_SEEDS = range(10)
+# Streaming re-slices every prefix sequentially, so it runs on a smaller
+# seed set.
 
 
-def _prefix(store: TraceStore, hi: int) -> TraceStore:
-    prefix = TraceStore(store.symbols)
-    prefix._records = store.span(0, hi)
-    prefix.metadata = store.metadata
-    return prefix
-
-
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_streaming_session_matches_prefix_sequential(seed):
-    store = _build(seed)
-    session = StreamingSliceSession(open_epoch_stream(store))
-    results = list(session.results())
-    spans = [s for s in store.frame_spans() if s.complete]
-    # One result per complete frame, even the raster-free one.
-    assert [r.frame_id for r in results] == [s.frame_id for s in spans]
-    for result in results:
-        prefix = _prefix(store, result.hi)
-        criteria = frame_pixel_criteria(store, spans[result.frame_id])
-        seq = slice_trace(prefix, criteria, cdi=build_index(prefix._records))
-        assert bytes(result.flags) == bytes(seq.flags), (
-            f"seed {seed} frame {result.frame_id}: streaming != prefix "
-            f"sequential"
-        )
-        assert result.in_slice == sum(
-            seq.flags[result.lo : result.hi]
-        )
+@pytest.mark.parametrize("seed", range(10))
+def test_streaming_session_matches_prefix_sequential(seed, source_paths):
+    for source in ("row", "ucwa2", "ucwa3"):
+        assert_streaming(f"frame-{seed}", source, source_paths)
 
 
 def test_streaming_session_bounded_residency():
-    store = _build(0)
-    session = StreamingSliceSession(open_epoch_stream(store), keep_resident=2)
+    store = random_frame_trace(0, n_frames=6)
+    session = StreamingSliceSession(open_epoch_stream(store))
     for result in session.results():
-        assert len(session.resident) <= 2
+        assert len(session.resident) <= RESIDENT_REGIONS
+    assert len(session.regions) > RESIDENT_REGIONS  # regions were evicted
     # Evicted regions re-materialize through the stream: the last frame
     # still sliced its full prefix (n_seen may since have grown past it
     # by the trailing non-frame gap).
@@ -117,8 +61,7 @@ def test_streaming_session_bounded_residency():
 
 
 def test_streaming_rejects_gapped_epoch():
-    store = _build(1)
-    stream = open_epoch_stream(store)
+    stream = open_epoch_stream(trace("frame-1"))
     session = StreamingSliceSession(stream)
     epochs = list(stream.epochs())
     session.feed(epochs[0])

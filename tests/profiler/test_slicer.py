@@ -379,7 +379,7 @@ def test_track_reasons_chained_epochs_agree():
     from repro.profiler import SlicerOptions
     from repro.profiler.cdg import build_index
 
-    from .epoch_chain import chained_epoch_slice
+    from ..conformance.epoch_chain import chained_epoch_slice
 
     tracer, crit = _reasons_trace()
     options = SlicerOptions(track_reasons=True)

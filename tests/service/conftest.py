@@ -1,18 +1,11 @@
-"""Shared fixtures: a saved fuzz trace and in-process daemon instances.
+"""Shared fixtures: saved fuzz traces and a booted daemon with a client.
 
-Sockets live in a short ``mkdtemp`` directory rather than ``tmp_path``
-because ``AF_UNIX`` paths are capped at ~108 bytes and pytest's nested
-tmp directories can exceed that.
+The daemon and fleet factories live in ``tests/conftest.py``.
 """
-
-import shutil
-import tempfile
 
 import pytest
 
 from repro.service.client import ServiceClient
-from repro.service.fleet.supervisor import FleetSupervisor
-from repro.service.server import ProfilingServer
 from repro.trace.store import save_trace
 from repro.workloads.fuzz import random_frame_trace, random_trace
 
@@ -36,52 +29,6 @@ def frame_trace_path(tmp_path_factory):
 
 
 @pytest.fixture
-def service_factory():
-    """Boot in-process daemons; everything is torn down at test end."""
-    started = []
-    tmp_dirs = []
-
-    def boot(**kwargs) -> ProfilingServer:
-        tmp = tempfile.mkdtemp(prefix="repro-svc-")
-        tmp_dirs.append(tmp)
-        kwargs.setdefault("workers", 2)
-        kwargs.setdefault("queue_size", 16)
-        server = ProfilingServer(f"{tmp}/s.sock", f"{tmp}/cache", **kwargs)
-        server.start()
-        started.append(server)
-        return server
-
-    yield boot
-    for server in started:
-        server.close()
-    for tmp in tmp_dirs:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-@pytest.fixture
 def service(service_factory):
     server = service_factory()
     return server, ServiceClient(server.socket_path)
-
-
-@pytest.fixture
-def fleet_factory():
-    """Boot localhost TCP fleets; everything torn down at test end."""
-    started = []
-    tmp_dirs = []
-
-    def boot(n_shards=2, **kwargs) -> FleetSupervisor:
-        tmp = tempfile.mkdtemp(prefix="repro-fleet-")
-        tmp_dirs.append(tmp)
-        kwargs.setdefault("workers", 2)
-        kwargs.setdefault("auth_token", "test-fleet-secret")
-        supervisor = FleetSupervisor(tmp, n_shards, **kwargs)
-        supervisor.start()
-        started.append(supervisor)
-        return supervisor
-
-    yield boot
-    for supervisor in started:
-        supervisor.stop()
-    for tmp in tmp_dirs:
-        shutil.rmtree(tmp, ignore_errors=True)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.service.cache import (
     ResultCache,
     WorkloadDigestMemo,
@@ -82,6 +84,24 @@ def test_corrupt_disk_entry_is_a_miss_and_heals(tmp_path):
     assert not path.exists()  # dropped so the next put heals the slot
     cache.put("bad", {"ok": 3})
     assert cache.get("bad") == {"ok": 3}
+
+
+@pytest.mark.parametrize("damage", ("flipped-digit", "unsealed"))
+def test_damaged_or_unsealed_entry_is_a_miss_and_is_deleted(tmp_path, damage):
+    """An entry is trusted only while it matches its seal, so a flipped
+    digit on disk, or an entry written without a seal, is never served."""
+    payload = {"fraction": 0.375, "slice_size": 3}
+    path = tmp_path / "results" / "k.json"
+    for read in ("peek", "lookup"):
+        ResultCache(tmp_path).put("k", payload)
+        if damage == "unsealed":
+            path.write_text(json.dumps(payload, sort_keys=True), "utf-8")
+        else:
+            path.write_bytes(path.read_bytes().replace(b"0.375", b"0.975"))
+        reopened = ResultCache(tmp_path)
+        assert getattr(reopened, read)("k") is None, read
+        assert not path.exists(), read
+    assert reopened.stats()["misses"] == 1
 
 
 def test_contains_does_not_touch_counters(tmp_path):

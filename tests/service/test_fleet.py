@@ -4,6 +4,8 @@ Two shards on localhost TCP are enough to exercise every fleet
 mechanism; the load harness covers scale.  The differential test is the
 acceptance gate: a fleet must return byte-identical results (flags
 sha256) to a single-node AF_UNIX daemon for the same trace digests.
+That both return the in-process reference's flags under every engine
+is checked by ``tests/conformance/test_surfaces.py``.
 """
 
 import itertools

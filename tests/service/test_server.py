@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.profiler.api import run_slice_job
+from repro.service.cache import payload_seal
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobSpec
 from repro.service.server import ProfilingServer
@@ -85,6 +86,36 @@ def test_warm_set_survives_daemon_restart(service_factory, fuzz_trace_path):
         assert warm["result"] == cold["result"]
     finally:
         second.close()
+
+
+def test_restart_over_damaged_entry_recomputes(service_factory, fuzz_trace_path):
+    """A result damaged on disk is never served: the resubmit after a
+    restart runs cold and returns the original flags."""
+    first = service_factory()
+    spec = JobSpec(trace_path=str(fuzz_trace_path))
+    cold = ServiceClient(first.socket_path).submit(spec, wait=True)["result"]
+    first.close()
+    (entry,) = (first._cache_dir / "results").glob("*.json")
+    sha = cold["flags_sha256"].encode()
+    entry.write_bytes(entry.read_bytes().replace(sha, sha[::-1]))
+    second = ProfilingServer(first.socket_path, first._cache_dir)
+    second.start()
+    try:
+        again = ServiceClient(second.socket_path).submit(spec, wait=True)
+        assert again["outcome"] == "ok"
+        assert again["result"]["flags_sha256"] == cold["flags_sha256"]
+    finally:
+        second.close()
+
+
+def test_handoff_stores_only_entries_that_match_their_seal(service):
+    server, client = service
+    good = {"kind": "result", "key": "a" * 64, "payload": {"fraction": 0.375}}
+    good["sha256"] = payload_seal(good["payload"])
+    bad = dict(good, key="b" * 64, payload={"fraction": 0.975})
+    assert client.request({"op": "handoff", "entries": [good, bad]})["accepted"] == 1
+    assert server.cache.peek("a" * 64) == good["payload"]
+    assert server.cache.peek("b" * 64) is None
 
 
 def test_workload_submit_cold_then_warm_via_digest_memo(service):

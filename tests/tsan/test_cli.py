@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.trace.columnar import convert_trace
 from repro.trace.store import save_trace
 from repro.tsan.__main__ import main as tsan_main
 from repro.workloads.fuzz import random_sync_trace, random_trace
@@ -31,6 +34,35 @@ def test_races_json_is_machine_readable(tmp_path, capsys):
     assert data["ok"] is True
     assert data["n_races"] == 0
     assert data["trace"] == str(path)
+
+
+@pytest.mark.parametrize("racy", (True, False), ids=("racy", "clean"))
+def test_races_reads_ucwa3_like_its_ucwa2_source(tmp_path, capsys, racy):
+    if racy:
+        store = random_trace(5, target_records=1_200)
+    else:
+        store, _ = random_sync_trace(5, target_records=1_200)
+    v2, v3 = tmp_path / "t2.ucwa", tmp_path / "t3.ucwa"
+    save_trace(store, v2)
+    convert_trace(v2, v3)
+    runs = []
+    for path in (v2, v3):
+        status = tsan_main(["races", str(path)])
+        out = capsys.readouterr().out.replace(str(path), "<trace>")
+        runs.append((status, out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (1 if racy else 0)
+
+
+@pytest.mark.parametrize("kind", ("missing", "not-a-trace"))
+def test_races_on_unreadable_path_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "t.ucwa"
+    if kind == "not-a-trace":
+        path.write_text("hello\n")
+    assert tsan_main(["races", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_races_rejects_ambiguous_inputs(capsys):
