@@ -34,6 +34,7 @@ from .slicer import BackwardSlicer, SliceResult, SlicerOptions, DEFAULT_OPTIONS
 from .stats import SliceStatistics, compute_statistics
 
 if TYPE_CHECKING:
+    from ..trace.columnar import ColumnarTrace
     from .incremental import SliceCheckpoint
 
 #: The slicing-engine registry: every engine name ``Profiler.slice``
@@ -88,6 +89,7 @@ class Profiler:
         self._store = store
         self._cdi = cdi
         self._checkpoint: Optional["SliceCheckpoint"] = None
+        self._columns: Optional["ColumnarTrace"] = None
 
     def slice_checkpoint(self) -> "SliceCheckpoint":
         """The profiler-lifetime checkpoint the incremental engine extends.
@@ -107,10 +109,32 @@ class Profiler:
     def store(self) -> TraceStore:
         return self._store
 
+    def _columnar(self) -> "ColumnarTrace":
+        """The trace as columns, for the vectorized engine.
+
+        A columnar trace is its own; a row store is converted on first use
+        and the conversion kept, so repeated vectorized queries (and the
+        writer tables cached on the columns) pay for it once.
+        """
+        if self._columns is None:
+            from ..trace.columnar import ColumnarTrace
+
+            store = self._store
+            self._columns = (
+                store
+                if isinstance(store, ColumnarTrace)
+                else ColumnarTrace.from_store(store)
+            )
+        return self._columns
+
     def control_dependence_index(self) -> ControlDependenceIndex:
-        """Run (or reuse) the forward pass: CFGs + postdominators + CDG."""
+        """Run (or reuse) the forward pass: CFGs + postdominators + CDG.
+
+        A columnar trace feeds the CFG builder from its columns, so the
+        forward pass builds no record object on either trace type.
+        """
         if self._cdi is None:
-            self._cdi = ControlDependenceIndex(build_cfgs(self._store.forward()))
+            self._cdi = ControlDependenceIndex(build_cfgs(self._store))
         return self._cdi
 
     def slice(
@@ -128,7 +152,7 @@ class Profiler:
         one of the others from the trace and the request, see
         :func:`resolve_engine`), ``"sequential"`` (the reference: a single
         in-process pass), ``"vectorized"`` (array-join closure over a
-        columnar trace; converts row stores on entry), or
+        columnar trace; a row store is converted once per profiler), or
         ``"incremental"`` (frame-region memoization against a checkpoint;
         see ``docs/incremental-slicing.md``).  All produce identical
         sliced-record sets, and every engine names itself in
@@ -164,7 +188,7 @@ class Profiler:
             # slice index never needs the forward CDG pass under default
             # options, which is most of the cold-slice win.
             return VectorizedSlicer(
-                self._store,
+                self._columnar(),
                 self._cdi,
                 criteria,
                 options=options,

@@ -119,24 +119,27 @@ class CategoryDistribution:
 def categorize_unnecessary(
     store: TraceStore, result: SliceResult
 ) -> CategoryDistribution:
-    """Categorize every instruction *outside* the slice by namespace."""
-    # Pre-compute category per symbol id (symbols are few, records many).
+    """Categorize every instruction *outside* the slice by namespace.
+
+    Records are counted per function first (the trace's
+    ``unsliced_fn_counts``: a columnar trace counts its ``fn`` column);
+    each function's count then goes to its symbol's category.
+    """
+    per_fn = store.unsliced_fn_counts(result.flags)
+    # Category per symbol id (symbols are few, records many).
     sym_category: List[Optional[str]] = [
         categorize_symbol(name) for _, name in store.symbols
     ]
     counts: Dict[str, int] = {cat: 0 for cat in CATEGORIES}
     uncategorized = 0
-    total = 0
-    flags = result.flags
-    for i, rec in enumerate(store.forward()):
-        if flags[i]:
-            continue
-        total += 1
-        category = sym_category[rec.fn]
+    for fn, count in per_fn.items():
+        category = sym_category[fn]
         if category is None:
-            uncategorized += 1
+            uncategorized += count
         else:
-            counts[category] += 1
+            counts[category] += count
     return CategoryDistribution(
-        counts=counts, uncategorized=uncategorized, total_unnecessary=total
+        counts=counts,
+        uncategorized=uncategorized,
+        total_unnecessary=sum(per_fn.values()),
     )

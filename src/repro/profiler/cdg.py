@@ -71,11 +71,12 @@ class ControlDependenceIndex:
         return len(self._cd)
 
 
-def build_index(records: Iterable) -> ControlDependenceIndex:
-    """Build the full control-dependence index from a record stream."""
+def build_index(trace: Iterable) -> ControlDependenceIndex:
+    """Build the full control-dependence index of a trace (anything
+    :func:`~repro.profiler.cfg.build_cfgs` accepts)."""
     from .cfg import build_cfgs
 
-    return ControlDependenceIndex(build_cfgs(records))
+    return ControlDependenceIndex(build_cfgs(trace))
 
 
 # --------------------------------------------------------------------- #

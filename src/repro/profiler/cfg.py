@@ -11,9 +11,11 @@ were still live when trace collection stopped).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+import collections.abc
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..trace.records import InstrKind, TraceRecord
+from ..trace.store import record_columns
 
 #: Virtual exit node id, shared by every function CFG.  Real pcs are
 #: positive (pc = (fn + 1) * FN_SPAN + site), so -1 can never collide.
@@ -72,84 +74,130 @@ class FunctionCFG:
             self.exits.update(self.succs.keys())
 
 
-class _Frame:
-    """One live invocation during forward stack reconstruction."""
-
-    __slots__ = ("fn", "last_pc", "awaiting_callee", "call_pc")
-
-    def __init__(self, fn: int) -> None:
-        self.fn = fn
-        self.last_pc: Optional[int] = None
-        self.awaiting_callee = False
-        self.call_pc: Optional[int] = None
+#: Control-column kinds the frame rules act on, as plain ints.
+_BRANCH = int(InstrKind.BRANCH)
+_CALL = int(InstrKind.CALL)
+_RET = int(InstrKind.RET)
 
 
 class DynamicCFGBuilder:
-    """Streams trace records and accumulates per-function CFGs.
+    """Accumulates per-function CFGs from batches of trace records.
 
     Maintains one call stack per thread; records of different threads may
     interleave arbitrarily (the trace is a single sequential stream of a
-    multi-threaded process pinned to one core).
+    multi-threaded process pinned to one core).  A stack holds
+    ``[fn, last_pc]`` frames; a ``None`` on top means the thread's last
+    record was a CALL whose callee has not run yet.  Batches may be fed
+    one after another (a growing stream feeds one epoch at a time): the
+    stacks carry over, and the CFGs are up to date after every batch.
     """
 
     def __init__(self) -> None:
         self._cfgs: Dict[int, FunctionCFG] = {}
-        self._stacks: Dict[int, List[_Frame]] = {}
+        #: tid -> ``[fn, last_pc]`` frames, ``None`` for a pending callee
+        self._stacks: Dict[int, List[Any]] = {}
 
-    def _cfg(self, fn: int) -> FunctionCFG:
-        cfg = self._cfgs.get(fn)
-        if cfg is None:
-            cfg = FunctionCFG(fn)
-            self._cfgs[fn] = cfg
-        return cfg
+    def feed_columns(
+        self,
+        tids: Iterable[int],
+        pcs: Iterable[int],
+        kinds: Iterable[int],
+        fns: Iterable[int],
+    ) -> None:
+        """Feed records given as parallel ``(tid, pc, kind, fn)`` sequences.
+
+        One loop applies the frame rules and collects each distinct
+        ``(fn, previous pc, pc)`` step in first-seen order (previous pc
+        ``None`` for an entry); only then do the distinct steps, branch
+        pcs and return sites touch the :class:`FunctionCFG` sets.  Every
+        record belongs to the frame of its own ``fn``, so ``fn`` names the
+        CFG of each step.
+        """
+        stacks = self._stacks
+        steps: Dict[Tuple[int, Optional[int], int], None] = {}
+        branches: Set[Tuple[int, int]] = set()
+        returns: Set[Tuple[int, int]] = set()
+        current_tid: Optional[int] = None
+        stack: List[Any] = []
+        for tid, pc, kind, fn in zip(tids, pcs, kinds, fns):
+            if tid != current_tid:
+                current_tid = tid
+                stack = stacks.setdefault(tid, [])
+            if not stack:
+                frame = [fn, None]  # thread root frame
+                stack.append(frame)
+            else:
+                frame = stack[-1]
+                if frame is None:
+                    # The thread's previous record was a CALL: this one is
+                    # the first instruction of the callee.
+                    frame = stack[-1] = [fn, None]
+                elif frame[0] != fn:
+                    # Should not happen with balanced CALL/RET; tolerate
+                    # anomalies (e.g. hand-built traces) by re-basing onto
+                    # a fresh frame.
+                    frame = [fn, None]
+                    stack.append(frame)
+            steps[fn, frame[1], pc] = None
+            frame[1] = pc
+            if kind == _BRANCH:
+                branches.add((fn, pc))
+            elif kind == _CALL:
+                stack.append(None)
+            elif kind == _RET:
+                returns.add((fn, pc))
+                stack.pop()
+
+        cfgs = self._cfgs
+        for fn, src, dst in steps:
+            cfg = cfgs.get(fn)
+            if cfg is None:
+                cfg = cfgs[fn] = FunctionCFG(fn)
+            cfg.add_node(dst)
+            if src is None:
+                cfg.entries.add(dst)
+            else:
+                cfg.succs[src].add(dst)
+                cfg.preds[dst].add(src)
+        for fn, pc in branches:
+            cfgs[fn].branch_pcs.add(pc)
+        for fn, pc in returns:
+            cfgs[fn].exits.add(pc)
 
     def feed(self, record: TraceRecord) -> None:
-        stack = self._stacks.setdefault(record.tid, [])
+        """Feed one record (a batch of one; see :meth:`feed_columns`)."""
+        self.feed_columns((record.tid,), (record.pc,), (record.kind,), (record.fn,))
 
-        if stack and stack[-1].awaiting_callee:
-            # Previous record in this thread was a CALL: this record is the
-            # first instruction of the callee.
-            stack[-1].awaiting_callee = False
-            stack.append(_Frame(record.fn))
-        elif not stack:
-            stack.append(_Frame(record.fn))  # thread root frame
-        elif stack[-1].fn != record.fn:
-            # Should not happen with balanced CALL/RET; tolerate anomalies
-            # (e.g. hand-built traces) by re-basing onto a fresh frame.
-            stack.append(_Frame(record.fn))
-
-        frame = stack[-1]
-        cfg = self._cfg(frame.fn)
-        cfg.add_node(record.pc)
-        if frame.last_pc is None:
-            cfg.entries.add(record.pc)
-        else:
-            cfg.add_edge(frame.last_pc, record.pc)
-        frame.last_pc = record.pc
-
-        kind = record.kind
-        if kind == InstrKind.BRANCH:
-            cfg.branch_pcs.add(record.pc)
-        elif kind == InstrKind.CALL:
-            frame.awaiting_callee = True
-        elif kind == InstrKind.RET:
-            cfg.exits.add(record.pc)
-            stack.pop()
+    def open_frames(self) -> Iterator[Tuple[int, int]]:
+        """``(fn, last pc)`` of every frame still live after the last batch."""
+        for stack in self._stacks.values():
+            for frame in stack:
+                if frame is not None:
+                    yield frame[0], frame[1]
 
     def finish(self) -> Dict[int, FunctionCFG]:
         """Close truncated frames and seal every CFG."""
-        for stack in self._stacks.values():
-            for frame in stack:
-                if frame.last_pc is not None:
-                    self._cfg(frame.fn).exits.add(frame.last_pc)
+        for fn, last_pc in self.open_frames():
+            self._cfgs[fn].exits.add(last_pc)
         for cfg in self._cfgs.values():
             cfg.seal()
         return self._cfgs
 
 
-def build_cfgs(records: Iterable[TraceRecord]) -> Dict[int, FunctionCFG]:
-    """Convenience wrapper: build all function CFGs from a record stream."""
+def build_cfgs(trace) -> Dict[int, FunctionCFG]:
+    """Build all function CFGs of a trace.
+
+    A trace (a row store or a
+    :class:`~repro.trace.columnar.ColumnarTrace`) feeds the builder its
+    ``control_columns()``, so a columnar trace builds no record object; a
+    bare list, tuple or iterator of records is read attribute by
+    attribute.
+    """
+    columns = (
+        record_columns(trace)
+        if isinstance(trace, (list, tuple, collections.abc.Iterator))
+        else trace.control_columns()
+    )
     builder = DynamicCFGBuilder()
-    for record in records:
-        builder.feed(record)
+    builder.feed_columns(*columns)
     return builder.finish()

@@ -59,7 +59,7 @@ from ..trace.checkpoint import (
     RegionMemoImage,
 )
 from ..trace.records import InstrKind, TraceRecord
-from ..trace.store import TraceStore
+from ..trace.store import TraceStore, record_columns
 from ..trace.stream import EpochStream, FrameEpoch, Region, compute_regions, region_digest
 from .cdg import control_dependences
 from .cfg import DynamicCFGBuilder, FunctionCFG
@@ -499,11 +499,9 @@ class IncrementalCDI:
         self._cd: Dict[int, Tuple[int, ...]] = {}
 
     def feed(self, records: Sequence[TraceRecord]) -> None:
-        feed = self._builder.feed
-        dirty = self._dirty
-        for rec in records:
-            feed(rec)
-            dirty.add(rec.fn)
+        """Feed one epoch's records as one batch."""
+        self._builder.feed_columns(*record_columns(records))
+        self._dirty.update(rec.fn for rec in records)
 
     def _sealed_copy(self, fn: int) -> FunctionCFG:
         cfg = self._builder._cfgs[fn]
@@ -513,10 +511,9 @@ class IncrementalCDI:
         copy.entries = cfg.entries
         copy.branch_pcs = cfg.branch_pcs
         copy.exits = set(cfg.exits)
-        for stack in self._builder._stacks.values():
-            for frame in stack:
-                if frame.fn == fn and frame.last_pc is not None:
-                    copy.exits.add(frame.last_pc)
+        for frame_fn, last_pc in self._builder.open_frames():
+            if frame_fn == fn:
+                copy.exits.add(last_pc)
         copy.seal()
         return copy
 

@@ -56,21 +56,11 @@ class SliceStatistics:
 def compute_statistics(store: TraceStore, result: SliceResult) -> SliceStatistics:
     """Per-thread and overall slice statistics.
 
-    Columnar traces expose a vectorized ``thread_slice_counts`` hook (two
-    ``bincount`` calls over the tid column); row stores take the record
-    walk below.
+    The per-thread counts are the trace's ``thread_slice_counts`` (a
+    columnar trace's is two ``bincount`` calls over the tid column).
     """
     flags = result.flags
-    fast = getattr(store, "thread_slice_counts", None)
-    if fast is not None:
-        totals, sliced = fast(flags)
-    else:
-        totals = {}
-        sliced = {}
-        for i, rec in enumerate(store.forward()):
-            totals[rec.tid] = totals.get(rec.tid, 0) + 1
-            if flags[i]:
-                sliced[rec.tid] = sliced.get(rec.tid, 0) + 1
+    totals, sliced = store.thread_slice_counts(flags)
 
     names = store.metadata.thread_names
     threads = tuple(

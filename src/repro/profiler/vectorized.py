@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..trace.columnar import ColumnarTrace, SliceIndex
+from ..trace.columnar import ColumnarTrace, SliceIndex, distinct
 from ..trace.records import InstrKind
 from .cdg import ControlDependenceIndex
 from .criteria import SlicingCriteria
@@ -65,31 +65,33 @@ def build_invocations(
     exactly: a fn mismatch on a non-CALL record opens a truncated frame,
     a RET on an empty stack re-seeds the thread root.
     """
-    n = len(cols)
-    inv_id = np.full(n, -1, np.int64)
+    inv_of: List[int] = []  # one entry per record, in record order
     call_of: List[int] = []
     ret_of: List[int] = []
     fn_of: List[Optional[int]] = []
     stacks: Dict[int, List[int]] = {}
-    kinds = cols.kind.tolist()
-    tids = cols.tid.tolist()
-    fns = cols.fn.tolist()
+    current_tid: Optional[int] = None
+    stack: List[int] = []
     next_inv = 0
-    for i in range(n):
-        kind = kinds[i]
-        stack = stacks.get(tids[i])
-        if stack is None:
-            stack = stacks[tids[i]] = [next_inv]
-            call_of.append(-1)
-            ret_of.append(-1)
-            fn_of.append(fns[i])
-            next_inv += 1
+    for i, (tid, kind, fn) in enumerate(
+        zip(cols.tid.tolist(), cols.kind.tolist(), cols.fn.tolist())
+    ):
+        if tid != current_tid:
+            current_tid = tid
+            found = stacks.get(tid)
+            if found is None:
+                found = stacks[tid] = [next_inv]
+                call_of.append(-1)
+                ret_of.append(-1)
+                fn_of.append(fn)
+                next_inv += 1
+            stack = found
         top = stack[-1]
         if kind == _RET:
             if fn_of[top] is None:
-                fn_of[top] = fns[i]
+                fn_of[top] = fn
             ret_of[top] = i
-            inv_id[i] = top
+            inv_of.append(top)
             stack.pop()
             if not stack:
                 stack.append(next_inv)
@@ -98,16 +100,17 @@ def build_invocations(
                 fn_of.append(None)
                 next_inv += 1
             continue
-        if fn_of[top] is None:
-            fn_of[top] = fns[i]
-        elif fn_of[top] != fns[i] and kind != _CALL:
+        top_fn = fn_of[top]
+        if top_fn is None:
+            fn_of[top] = fn
+        elif top_fn != fn and kind != _CALL:
             top = next_inv
             call_of.append(-1)
             ret_of.append(-1)
-            fn_of.append(fns[i])
+            fn_of.append(fn)
             next_inv += 1
             stack.append(top)
-        inv_id[i] = top
+        inv_of.append(top)
         if kind == _CALL:
             stack.append(next_inv)
             call_of.append(i)
@@ -115,7 +118,7 @@ def build_invocations(
             fn_of.append(None)
             next_inv += 1
     return (
-        inv_id,
+        np.array(inv_of, np.int64),
         np.array(call_of, np.int64),
         np.array(ret_of, np.int64),
         np.array([-1 if f is None else f for f in fn_of], np.int64),
@@ -137,7 +140,7 @@ def _mem_writer_table(cols: ColumnarTrace):
         keep = (cols.kind != _RET)[own]
         widx = own[keep]
         waddr = np.asarray(cols.mw)[keep]
-        uaddr = np.unique(waddr)
+        uaddr = distinct(waddr)
         dense = np.searchsorted(uaddr, waddr).astype(np.int64)
         key = dense * (n + 1) + widx
         order = np.argsort(key)
@@ -152,7 +155,7 @@ def _reg_writer_table(cols: ColumnarTrace):
     table = cols._writer_tables.get("reg")
     if table is None:
         n = len(cols)
-        utid = np.unique(cols.tid).astype(np.int64)
+        utid = distinct(cols.tid).astype(np.int64)
         own = _pool_owners(cols.rw_off)
         keep = (cols.kind != _RET)[own]
         widx = own[keep]
@@ -250,7 +253,7 @@ def build_edges(
                 dep_pc = flat[np.repeat(upc_off[pc_inv], rec_counts) + within]
 
                 br = np.nonzero(cols.kind == _BRANCH)[0]
-                ubpc = np.unique(np.asarray(cols.pc)[br])
+                ubpc = distinct(np.asarray(cols.pc)[br])
                 nb = max(len(ubpc), 1)
                 btid = np.searchsorted(utid, cols.tid[br].astype(np.int64))
                 bpc = np.searchsorted(ubpc, np.asarray(cols.pc)[br])
@@ -285,7 +288,7 @@ def build_edges(
 
     src = np.concatenate(srcs) if srcs else np.zeros(0, np.int64)
     tgt = np.concatenate(tgts) if tgts else np.zeros(0, np.int64)
-    key = np.unique(src.astype(np.int64) * span + tgt)
+    key = distinct(src.astype(np.int64) * span + tgt)
     src = (key // span)[::-1]
     tgt = (key % span)[::-1]
     return src, tgt
@@ -303,7 +306,7 @@ def attach_index(cols: ColumnarTrace) -> SliceIndex:
     inv_id, inv_call, inv_ret, inv_fn = build_invocations(cols)
     from .cdg import build_index as build_cdg
 
-    cd_map = build_cdg(cols.forward())._cd
+    cd_map = build_cdg(cols)._cd
     src, tgt = build_edges(cols, inv_id, inv_call, cd_map, DEFAULT_OPTIONS)
     cols.index = SliceIndex(
         inv_id=inv_id,
@@ -361,7 +364,7 @@ def _resolve_seeds(
             # Build a writer table restricted to the criteria cells: far
             # cheaper than the full table when only seeds are needed (the
             # stored-index cold path never builds the full table).
-            ucrit = np.unique(carr)
+            ucrit = distinct(carr)
             own = _pool_owners(cols.mw_off)
             keep = (cols.kind != _RET)[own]
             widx = own[keep]
@@ -406,7 +409,13 @@ def _resolve_seeds(
 
     if not seeds:
         return np.zeros(0, np.int64)
-    return np.unique(np.concatenate(seeds))
+    return distinct(np.concatenate(seeds))
+
+
+#: Edges :func:`_closure` turns into Python ints at a time: bounds the
+#: memory of the walk (a full ``.tolist()`` of bing's 429,710-edge stream
+#: holds two lists of that many ints) without slowing it.
+CLOSURE_CHUNK = 1 << 16
 
 
 def _closure(
@@ -417,14 +426,17 @@ def _closure(
     Correct because every edge targets a strictly lower index: by the
     time the stream reaches source ``s``, all edges into ``s`` (whose
     sources are > ``s``) have already been applied, so ``flags[s]`` is
-    final when its out-edges fire.
+    final when its out-edges fire.  The stream is walked in
+    :data:`CLOSURE_CHUNK`-edge chunks, in order.
     """
     flags = bytearray(n)
     for s in seeds:
         flags[s] = 1
-    for s, t in zip(src.tolist(), tgt.tolist()):
-        if flags[s]:
-            flags[t] = 1
+    for lo in range(0, len(src), CLOSURE_CHUNK):
+        hi = lo + CLOSURE_CHUNK
+        for s, t in zip(src[lo:hi].tolist(), tgt[lo:hi].tolist()):
+            if flags[s]:
+                flags[t] = 1
     return flags
 
 
@@ -441,7 +453,7 @@ def _flag_needed_rets(
     skips them before gen/kill), so this is a pure post-pass.
     """
     flagged = np.frombuffer(bytes(flags), np.uint8).astype(bool)
-    needed = np.unique(inv_id[np.nonzero(flagged & notret)[0]])
+    needed = distinct(inv_id[np.nonzero(flagged & notret)[0]])
     needed = needed[needed >= 0]
     rets = inv_ret[needed]
     rets = rets[(rets >= 0) & (inv_call[needed] >= 0)]
@@ -457,16 +469,16 @@ def _flag_needed_rets(
 class VectorizedSlicer:
     """Array-join backward slicer (engine name ``"vectorized"``).
 
-    Accepts a :class:`ColumnarTrace` directly or converts a row store on
-    entry.  ``cdi``/``cdi_provider`` supply the control-dependence index
-    lazily: a trace carrying a stored slice index under default options
-    never needs it (the cold-path win), while ablations and index-less
-    traces resolve it on demand.
+    Runs on a :class:`ColumnarTrace`; ``Profiler`` converts a row store
+    once and passes the kept columns.  ``cdi``/``cdi_provider`` supply the
+    control-dependence index lazily: a trace carrying a stored slice
+    index under default options never needs it (the cold-path win), while
+    ablations and index-less traces resolve it on demand.
     """
 
     def __init__(
         self,
-        trace,
+        trace: ColumnarTrace,
         cdi: Optional[ControlDependenceIndex] = None,
         criteria: Optional[SlicingCriteria] = None,
         options: SlicerOptions = DEFAULT_OPTIONS,
@@ -474,11 +486,7 @@ class VectorizedSlicer:
     ) -> None:
         if criteria is None:
             raise ValueError("criteria are required")
-        self._cols = (
-            trace
-            if isinstance(trace, ColumnarTrace)
-            else ColumnarTrace.from_store(trace)
-        )
+        self._cols = trace
         self._cdi = cdi
         self._cdi_provider = cdi_provider
         self._criteria = criteria
@@ -491,7 +499,7 @@ class VectorizedSlicer:
             else:
                 from .cdg import build_index
 
-                self._cdi = build_index(self._cols.forward())
+                self._cdi = build_index(self._cols)
         return self._cdi._cd
 
     def run(self) -> SliceResult:

@@ -156,8 +156,9 @@ class LoadtestReport:
 
 
 def _build_traces(config: LoadtestConfig, directory: Path) -> List[Path]:
-    """Small, frame-bearing fuzz traces: the mixed submit corpus."""
-    from ...trace.store import save_trace
+    """Small, frame-bearing fuzz traces (UCWA3 with the slice index, as
+    ``trace collect`` writes them): the mixed submit corpus."""
+    from ...trace.columnar import save_ucwa3
     from ...workloads.fuzz import random_frame_trace
 
     directory.mkdir(parents=True, exist_ok=True)
@@ -169,7 +170,7 @@ def _build_traces(config: LoadtestConfig, directory: Path) -> List[Path]:
             records_per_frame=config.records_per_frame,
         )
         path = directory / f"trace-{index}.ucwa"
-        save_trace(store, path)
+        save_ucwa3(store, path)
         paths.append(path)
     return paths
 

@@ -3,18 +3,19 @@
 Usage::
 
     python -m repro.trace collect amazon_desktop /tmp/amazon.ucwa
-    python -m repro.trace collect amazon_desktop /tmp/amazon.ucwa --format=v3
+    python -m repro.trace collect amazon_desktop /tmp/amazon2.ucwa --format=v2
     python -m repro.trace info /tmp/amazon.ucwa
     python -m repro.trace lint /tmp/amazon.ucwa [--json] [--checkpoint=PATH]
-    python -m repro.trace convert /tmp/amazon.ucwa /tmp/amazon3.ucwa
+    python -m repro.trace convert /tmp/amazon2.ucwa /tmp/amazon3.ucwa
     python -m repro.trace slice /tmp/amazon.ucwa
     python -m repro.trace slice /tmp/amazon.ucwa --criteria=syscalls
-    python -m repro.trace slice /tmp/amazon3.ucwa --engine=sequential
+    python -m repro.trace slice /tmp/amazon.ucwa --engine=sequential
 
 ``collect`` runs a registered benchmark with the harness recipe (the
 trace ``run_benchmark`` and a service workload job see) and saves its
-trace (``--format=v3`` writes the columnar UCWA3 layout with a
-precomputed slice index; the default stays the row-oriented UCWA2); ``info``
+trace in the columnar UCWA3 layout with its precomputed slice index
+(the same bytes ``convert`` writes; ``--format=v2`` writes the
+row-oriented UCWA2 instead); ``info``
 prints per-thread and symbol statistics; ``lint`` checks the sanitizer's
 well-formedness invariants (CALL/RET balance, use-before-def, lock
 discipline, marker clock, frame-epoch monotonicity — see
@@ -62,7 +63,7 @@ def _error(message: object) -> int:
     return 2
 
 
-def _collect(name: str, path: str, fmt: str = "v2") -> int:
+def _collect(name: str, path: str, fmt: str = "v3") -> int:
     from ..harness.experiments import run_engine
     from ..workloads import benchmark
 
@@ -78,12 +79,9 @@ def _collect(name: str, path: str, fmt: str = "v2") -> int:
     store = engine.trace_store()
     try:
         if fmt == "v3":
-            from ..profiler.vectorized import attach_index
-            from .columnar import ColumnarTrace, save_columnar
+            from .columnar import save_ucwa3
 
-            cols = ColumnarTrace.from_store(store)
-            attach_index(cols)
-            save_columnar(cols, path)
+            save_ucwa3(store, path)
         else:
             save_trace(store, path)
     except OSError as err:
@@ -252,7 +250,7 @@ def main(argv) -> int:
         except (ValueError, OSError) as err:
             return _error(err)
     if len(argv) >= 3 and argv[0] == "collect":
-        fmt = "v2"
+        fmt = "v3"
         for opt in argv[3:]:
             if opt.startswith("--format="):
                 fmt = opt[len("--format="):]

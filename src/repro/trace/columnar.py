@@ -53,9 +53,12 @@ not churn when a trace is converted.
 
 from __future__ import annotations
 
+import copy
 import mmap
 import struct
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -81,6 +84,23 @@ _DTYPES: Dict[int, type] = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint6
 
 #: Sections a well-formed v3 file must carry (derived sections are optional).
 _REQUIRED = (b"SYMS", b"MRKS", b"CORE", b"REGR", b"REGW", b"MEMR", b"MEMW", b"META")
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``values``, as ``np.unique(values)``.
+
+    Sorts and keeps each value that differs from its left neighbour.  For
+    a values-only call numpy's ``np.unique`` hashes instead, which on
+    large integer arrays is many times slower than this sort; the calls
+    that also return inverses or counts sort already.
+    """
+    ordered = np.sort(np.asarray(values), axis=None)
+    if len(ordered) < 2:
+        return ordered
+    keep = np.empty(len(ordered), bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def _pack_array(values: np.ndarray) -> bytes:
@@ -226,6 +246,8 @@ class ColumnarTrace:
         self.index = index
         self.source_path = source_path
         self._materialized: Optional[List[TraceRecord]] = None
+        #: record lists ``span`` built, by ``(lo, hi)``
+        self._spans: Dict[Tuple[int, int], List[TraceRecord]] = {}
         #: lazily built nearest-preceding-writer tables (see
         #: repro.profiler.vectorized); cached per trace because they are
         #: criteria-independent.
@@ -269,14 +291,26 @@ class ColumnarTrace:
         return self._record_at(i)
 
     def span(self, lo: int, hi: int) -> List[TraceRecord]:
-        """Materialize records ``[lo, hi)`` from column views (batch path).
+        """Records ``[lo, hi)`` (what the incremental engine reads per region).
 
-        One ``.tolist()`` per column slice instead of per-record numpy
-        scalar indexing; this is what the incremental engine calls per
-        region and what batched forward iteration uses.
+        Each distinct span is materialized from the columns once and kept,
+        so repeated queries on one trace do not rebuild the same records;
+        a trace that already holds every record serves slices of them.
         """
         if self._materialized is not None:
             return self._materialized[lo:hi]
+        records = self._spans.get((lo, hi))
+        if records is None:
+            records = self._spans[lo, hi] = self.materialize(lo, hi)
+        return list(records)
+
+    def materialize(self, lo: int, hi: int) -> List[TraceRecord]:
+        """Build records ``[lo, hi)`` from the columns, keeping nothing.
+
+        One ``.tolist()`` per column slice instead of per-record numpy
+        scalar indexing.  A one-pass reader that must not hold what it
+        read (an epoch stream) calls this instead of :meth:`span`.
+        """
         tids = self.tid[lo:hi].tolist()
         pcs = self.pc[lo:hi].tolist()
         kinds = self.kind[lo:hi].tolist()
@@ -315,7 +349,8 @@ class ColumnarTrace:
     def records(self) -> List[TraceRecord]:
         """Full materialized record list (cached after first call)."""
         if self._materialized is None:
-            self._materialized = self.span(0, len(self))
+            self._materialized = self.materialize(0, len(self))
+            self._spans.clear()
         return self._materialized
 
     def forward(self) -> Iterator[TraceRecord]:
@@ -326,13 +361,13 @@ class ColumnarTrace:
 
     def _forward_batched(self, batch: int = 8192) -> Iterator[TraceRecord]:
         for lo, hi in epoch_bounds(len(self), batch):
-            yield from self.span(lo, hi)
+            yield from self.materialize(lo, hi)
 
     def backward(self) -> Iterator[TraceRecord]:
         return reversed(self.records())
 
     def thread_ids(self) -> List[int]:
-        return np.unique(self.tid).tolist()
+        return distinct(self.tid).tolist()
 
     def frame_spans(self) -> List[FrameSpan]:
         return self.metadata.complete_frames()
@@ -361,6 +396,30 @@ class ColumnarTrace:
         }
         return totals, sliced
 
+    def unsliced_fn_counts(self, flags) -> Dict[int, int]:
+        """Per-function count of the records outside the slice.
+
+        Fast path for :func:`repro.profiler.categorize.categorize_unnecessary`:
+        one ``bincount`` over the ``fn`` column instead of a record pass.
+        """
+        flagged = np.frombuffer(bytes(flags), dtype=np.uint8).astype(bool)
+        counts = np.bincount(np.asarray(self.fn, np.int64)[~flagged])
+        present = np.nonzero(counts)[0]
+        return dict(zip(present.tolist(), counts[present].tolist()))
+
+    def control_columns(self) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """``(tid, pc, kind, fn)`` as lists: what the CFG builder reads.
+
+        The forward pass (:func:`repro.profiler.cfg.build_cfgs`) runs on
+        these, so it builds no record object.
+        """
+        return (
+            self.tid.tolist(),
+            self.pc.tolist(),
+            self.kind.tolist(),
+            self.fn.tolist(),
+        )
+
     # -- conversions ---------------------------------------------------- #
 
     @staticmethod
@@ -377,10 +436,14 @@ class ColumnarTrace:
         """
         records = store.records()
         n = len(records)
-        tid = np.fromiter((r.tid for r in records), np.int64, n)
-        pc = np.fromiter((r.pc for r in records), np.uint64, n)
-        kind = np.fromiter((int(r.kind) for r in records), np.uint8, n)
-        fn = np.fromiter((r.fn for r in records), np.int64, n)
+
+        def column(name: str, dtype) -> np.ndarray:
+            return np.fromiter(map(attrgetter(name), records), dtype, n)
+
+        tid = column("tid", np.int64)
+        pc = column("pc", np.uint64)
+        kind = column("kind", np.uint8)
+        fn = column("fn", np.int64)
         syscall1 = np.fromiter(
             (0 if r.syscall is None else r.syscall + 1 for r in records),
             np.int64,
@@ -398,19 +461,17 @@ class ColumnarTrace:
                     marker_ids[r.marker] = mid
                 marker1[i] = mid + 1
 
-        def pool(getter, dtype):
-            counts = np.fromiter((len(getter(r)) for r in records), np.int64, n)
+        def pool(name: str, dtype):
+            lists = list(map(attrgetter(name), records))
             off = np.zeros(n + 1, np.int64)
-            np.cumsum(counts, out=off[1:])
-            flat = np.fromiter(
-                (v for r in records for v in getter(r)), dtype, int(off[-1])
-            )
+            np.cumsum(np.fromiter(map(len, lists), np.int64, n), out=off[1:])
+            flat = np.fromiter(chain.from_iterable(lists), dtype, int(off[-1]))
             return off, flat
 
-        rr_off, rr = pool(lambda r: r.regs_read, np.uint8)
-        rw_off, rw = pool(lambda r: r.regs_written, np.uint8)
-        mr_off, mr = pool(lambda r: r.mem_read, np.uint64)
-        mw_off, mw = pool(lambda r: r.mem_written, np.uint64)
+        rr_off, rr = pool("regs_read", np.uint8)
+        rw_off, rw = pool("regs_written", np.uint8)
+        mr_off, mr = pool("mem_read", np.uint64)
+        mw_off, mw = pool("mem_written", np.uint64)
         cols = ColumnarTrace(
             symbols=store.symbols,
             metadata=store.metadata,
@@ -519,6 +580,30 @@ def serialize_columnar(trace: ColumnarTrace) -> bytes:
 def save_columnar(trace: ColumnarTrace, path: Union[str, Path]) -> None:
     """Write a trace in UCWA3 form."""
     Path(path).write_bytes(serialize_columnar(trace))
+
+
+def save_ucwa3(
+    trace: Union[TraceStore, ColumnarTrace],
+    path: Union[str, Path],
+    with_index: bool = True,
+) -> None:
+    """Write a row store or a columnar trace as UCWA3.
+
+    The one UCWA3 writer behind ``trace collect``, ``trace convert`` and
+    the fleet load test: a row store is converted to columns, and the
+    derived slice index (``INVT``/``EDGE``) is built unless the trace
+    already carries one.  ``with_index=False`` writes no index, also
+    when the input carries one (the input keeps it).
+    """
+    cols = trace if isinstance(trace, ColumnarTrace) else ColumnarTrace.from_store(trace)
+    if not with_index:
+        cols = copy.copy(cols)
+        cols.index = None
+    elif cols.index is None:
+        from ..profiler.vectorized import attach_index
+
+        attach_index(cols)
+    save_columnar(cols, path)
 
 
 # --------------------------------------------------------------------- #
@@ -751,9 +836,4 @@ def convert_trace(
         return
     if fmt != "v3":
         raise ValueError(f"unknown trace format {fmt!r}; expected 'v2' or 'v3'")
-    cols = trace if isinstance(trace, ColumnarTrace) else ColumnarTrace.from_store(trace)
-    if with_index and cols.index is None:
-        from ..profiler.vectorized import attach_index
-
-        attach_index(cols)
-    save_columnar(cols, dst)
+    save_ucwa3(trace, dst, with_index=with_index)

@@ -31,6 +31,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import struct
+from collections import Counter
+from operator import attrgetter
 from pathlib import Path
 from typing import (
     Dict,
@@ -113,6 +115,30 @@ class TraceStore:
         """Records ``[lo, hi)`` in execution order (one epoch's worth)."""
         return self._records[lo:hi]
 
+    #: A row store already holds its records, so a one-pass reader's
+    #: ``materialize`` is ``span`` (a columnar trace's keeps nothing).
+    materialize = span
+
+    def control_columns(self) -> "ControlColumns":
+        """``(tid, pc, kind, fn)`` of every record: what the CFG builder reads."""
+        return record_columns(self._records)
+
+    def thread_slice_counts(self, flags) -> Tuple[dict, dict]:
+        """Per-thread (total, in-slice) record counts under slice ``flags``."""
+        totals: dict = {}
+        sliced: dict = {}
+        for i, rec in enumerate(self._records):
+            totals[rec.tid] = totals.get(rec.tid, 0) + 1
+            if flags[i]:
+                sliced[rec.tid] = sliced.get(rec.tid, 0) + 1
+        return totals, sliced
+
+    def unsliced_fn_counts(self, flags) -> Dict[int, int]:
+        """Per-function count of the records outside the slice."""
+        return Counter(
+            rec.fn for flag, rec in zip(flags, self._records) if not flag
+        )
+
     def thread_ids(self) -> List[int]:
         """Distinct thread ids present in the trace, sorted."""
         return sorted({r.tid for r in self._records})
@@ -127,6 +153,25 @@ class TraceStore:
         for record in self._records:
             counts[record.tid] = counts.get(record.tid, 0) + 1
         return counts
+
+
+#: ``(tid, pc, kind, fn)``, one iterable per field: the forward pass's
+#: input (see :class:`repro.profiler.cfg.DynamicCFGBuilder`).
+ControlColumns = Tuple[Iterable[int], Iterable[int], Iterable[int], Iterable[int]]
+
+
+def record_columns(records: Iterable[TraceRecord]) -> ControlColumns:
+    """The ``(tid, pc, kind, fn)`` columns of a record sequence.
+
+    Each column is a lazy attribute read over the records, so feeding
+    them copies nothing.
+    """
+    if not isinstance(records, (list, tuple)):
+        records = list(records)
+    tids, pcs, kinds, fns = (
+        map(attrgetter(name), records) for name in ("tid", "pc", "kind", "fn")
+    )
+    return tids, pcs, kinds, fns
 
 
 def epoch_bounds(n_records: int, epoch_size: int) -> List[Tuple[int, int]]:

@@ -219,7 +219,9 @@ class _StoreStream(EpochStream):
         self._store = store
 
     def span(self, lo: int, hi: int) -> List[TraceRecord]:
-        return self._store.span(lo, hi)
+        # A columnar trace's ``span`` keeps every region it builds; a
+        # stream holds only what its session keeps resident.
+        return self._store.materialize(lo, hi)
 
 
 class _FileStreamV2(EpochStream):

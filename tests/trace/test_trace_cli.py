@@ -150,7 +150,7 @@ def test_collect_then_slice_reproduces_the_table2_golden(tmp_path, capsys):
     assert match is not None, out
     assert match.group(1) == f"{100 * golden['all_fraction']:.1f}"
     assert int(match.group(2)) == golden["total_instructions"]
-    assert "engine: engine=sequential" in out
+    assert "engine: engine=vectorized" in out and "stored_index=True" in out
 
     _, stats = run_slice_job(load_any_trace(path))
     assert stats.total == golden["total_instructions"]
