@@ -436,21 +436,19 @@ class CompositorHost:
         abstract cell ids or node ids, which are allocation-order
         artifacts that may legally differ between otherwise
         pixel-identical runs.  Pure bookkeeping: emits no trace records,
-        so existing trace goldens are unaffected.
+        so existing trace goldens are unaffected.  Each item's values
+        come from :meth:`DisplayItem.snapshot_values`, built once per item.
         """
-
-        def _rect(r: Rect) -> Tuple[float, float, float, float]:
-            return (round(r.x, 3), round(r.y, 3), round(r.w, 3), round(r.h, 3))
-
-        items = tuple(
-            (item.kind, _rect(item.rect), str(item.color), item.opaque,
-             round(layer.paint.opacity, 4), item.detail)
-            for item, _cc_cell in layer.items_for_tile(tile)
-            if item.rect.intersects(visible_part)
-        )
+        opacity = round(layer.paint.opacity, 4)
+        items = []
+        for item, _cc_cell in layer.items_for_tile(tile):
+            if item.rect.intersects(visible_part):
+                kind, rect, color, opaque, detail = item.snapshot_values()
+                items.append((kind, rect, color, opaque, opacity, detail))
+        v = visible_part
         return (
-            "tile", order, layer.paint.z_index, layer.paint.fixed,
-            tile.col, tile.row, _rect(visible_part), items,
+            "tile", order, layer.paint.z_index, layer.paint.fixed, tile.col, tile.row,
+            (round(v.x, 3), round(v.y, 3), round(v.w, 3), round(v.h, 3)), tuple(items),
         )
 
     def _fb_cells_for(self, rect: Rect, viewport: Rect) -> Tuple[int, ...]:

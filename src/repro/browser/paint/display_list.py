@@ -10,9 +10,12 @@ from ..html.dom import Element, TextNode
 from ..layout.geometry import Rect
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisplayItem:
     """One paint operation recorded into a layer's display list.
+
+    Frozen: an item is fixed once painted (a repaint records new items),
+    which is what lets :meth:`snapshot_values` compute its values once.
 
     Attributes:
         kind: "background" | "border" | "text" | "image".
@@ -38,6 +41,29 @@ class DisplayItem:
     opaque: bool = False
     owner_id: int = -1
     detail: str = ""
+    #: :meth:`snapshot_values`' tuple, built on the first call
+    _snapshot: Optional[Tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def snapshot_values(self) -> Tuple:
+        """``(kind, rect, color, opaque, detail)`` as frame snapshots record it.
+
+        Values only (the rect rounded to 3 places, the color as text), no
+        cell or node ids, which are allocation-order artifacts.  Built
+        once per item: frame snapshots read it for every drawn tile of
+        every frame.
+        """
+        values = self._snapshot
+        if values is None:
+            r = self.rect
+            values = (
+                self.kind,
+                (round(r.x, 3), round(r.y, 3), round(r.w, 3), round(r.h, 3)),
+                str(self.color),
+                self.opaque,
+                self.detail,
+            )
+            object.__setattr__(self, "_snapshot", values)
+        return values
 
 
 @dataclass

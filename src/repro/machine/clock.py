@@ -12,8 +12,7 @@ amazon.com).
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class VirtualClock:
@@ -22,6 +21,14 @@ class VirtualClock:
     The default ``instr_cost_us`` reflects the trace scale: one emitted
     record stands for ~10^4 real instructions (~30us at 2GHz IPC~0.15 in
     browser-like code), so simulated sessions span realistic seconds.
+
+    Every traced record ticks the clock, so :meth:`tick` keeps the busy
+    total of the (bucket, thread) key it last added to in ``_open_us``
+    instead of updating the per-key dict each time, together with the end
+    of that bucket.  The total is stored back into the dict when a tick
+    lands on another key and before anything reads the dict (``_busy``
+    does it), so the float additions, and the Figure 2 series, are the
+    ones an update per tick makes.
     """
 
     def __init__(self, instr_cost_us: float = 30.0, bucket_us: int = 100_000) -> None:
@@ -29,38 +36,59 @@ class VirtualClock:
             raise ValueError("instr_cost_us must be positive")
         if bucket_us <= 0:
             raise ValueError("bucket_us must be positive")
+        if bucket_us != int(bucket_us):
+            # Whole buckets make ``now < bucket end`` the exact test for
+            # ``int(now // bucket_us) == bucket`` that ``tick`` relies on.
+            raise ValueError("bucket_us must be a whole number of microseconds")
         self.instr_cost_us = instr_cost_us
         self.bucket_us = bucket_us
         self._now_us = 0.0
-        # (bucket index, tid) -> busy microseconds
-        self._busy: Dict[Tuple[int, int], float] = defaultdict(float)
+        # (bucket index, tid) -> busy microseconds, except the open key's
+        self._stored: Dict[Tuple[int, int], float] = {}
+        #: the key ticks last added to, its busy total and its bucket end;
+        #: no tid matches ``_open_tid`` until the first tick opens a key
+        self._open_key: Optional[Tuple[int, int]] = None
+        self._open_tid: Optional[int] = None
+        self._open_us = 0.0
+        self._open_end = 0
 
     @property
     def now_us(self) -> float:
         return self._now_us
 
+    @property
+    def _busy(self) -> Dict[Tuple[int, int], float]:
+        """(bucket index, tid) -> busy microseconds, the open key included."""
+        if self._open_key is not None:
+            self._stored[self._open_key] = self._open_us
+        return self._stored
+
     def tick(self, tid: int, instructions: int = 1) -> None:
         """Account for ``instructions`` executed by thread ``tid``."""
         cost = instructions * self.instr_cost_us
-        # Attribute the busy time to the bucket where the work started;
-        # bursts longer than a bucket are split across buckets.
         now = self._now_us
-        bucket = int(now // self.bucket_us)
-        room = (bucket + 1) * self.bucket_us - now
-        if 0 < cost <= room:
-            # The loop's single step when the cost fits the current bucket
-            # (same operands, same order: Figure 2 depends on it).
-            self._busy[(bucket, tid)] += cost
+        # One step inside the open key's bucket: the same operands, in the
+        # same order, as the split loop below (Figure 2 depends on it).
+        if tid == self._open_tid and 0 < cost <= self._open_end - now:
+            self._open_us += cost
             self._now_us = now + cost
             return
+        # Attribute the busy time to the bucket where the work started;
+        # bursts longer than a bucket are split across buckets.
+        busy = self._busy
         remaining = cost
         while remaining > 0:
             bucket = int(self._now_us // self.bucket_us)
             room = (bucket + 1) * self.bucket_us - self._now_us
             step = min(remaining, room)
-            self._busy[(bucket, tid)] += step
+            key = (bucket, tid)
+            busy[key] = busy.get(key, 0.0) + step
             self._now_us += step
             remaining -= step
+            self._open_key = key
+            self._open_tid = tid
+            self._open_us = busy[key]
+            self._open_end = (bucket + 1) * self.bucket_us
 
     def idle(self, duration_us: float) -> None:
         """Advance time without attributing busy work (I/O wait, think time)."""
@@ -74,10 +102,11 @@ class VirtualClock:
         Returns a list of (bucket start time in seconds, utilization in
         [0, 1]) covering every bucket from 0 to the current time.
         """
+        busy_by_key = self._busy
         last_bucket = int(self._now_us // self.bucket_us)
         series = []
         for bucket in range(last_bucket + 1):
-            busy = self._busy.get((bucket, tid), 0.0)
+            busy = busy_by_key.get((bucket, tid), 0.0)
             series.append((bucket * self.bucket_us / 1e6, min(1.0, busy / self.bucket_us)))
         return series
 

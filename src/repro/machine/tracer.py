@@ -30,7 +30,7 @@ from ..trace.records import (
     FrameSpan,
     InstrKind,
     TraceMetadata,
-    TraceRecord,
+    new_record,
     sync_marker_tag,
 )
 from ..trace.store import TraceStore
@@ -87,10 +87,11 @@ class Tracer:
 
     Every emit method takes the same path: read the current thread, the
     function on top of its call stack and the site's pc (``_pc`` assigns
-    one to a new site), tick the clock, then append one positionally
-    built :class:`TraceRecord` to the store.  The steps are written out in
-    each method rather than shared through a helper, because they run
-    once per traced instruction.
+    one to a new site), tick the clock, then append one record built
+    positionally by :func:`~repro.trace.records.new_record` to the
+    store's record list (``TraceStore.append`` is one call more per
+    record).  The steps are written out in each method rather than shared
+    through a helper, because they run once per traced instruction.
     """
 
     def __init__(
@@ -101,6 +102,8 @@ class Tracer:
         self.symbols = symbols if symbols is not None else SymbolTable()
         self.clock = clock if clock is not None else VirtualClock()
         self.store = TraceStore(self.symbols, TraceMetadata())
+        #: the store's record list: emits append to it directly
+        self._records = self.store.records()
         self._sites: Dict[Tuple[int, str], int] = {}
         self._site_counts: Dict[int, int] = {}
         #: tid -> call stack of function symbol ids (root frame first)
@@ -188,12 +191,14 @@ class Tracer:
         if pc is None:
             pc = self._pc(fn, label)
         self.clock.tick(tid)
-        return self.store.append(
-            TraceRecord(
+        records = self._records
+        records.append(
+            new_record(
                 tid, pc, _OP, fn,
                 tuple(reg_reads), tuple(reg_writes), tuple(reads), tuple(writes),
             )
         )
+        return len(records) - 1
 
     def compare_and_branch(self, label: str, reads: Tuple[int, ...]) -> None:
         """Emit a decision point: ``cmp`` (reads cells, sets FLAGS) + branch.
@@ -208,10 +213,11 @@ class Tracer:
         fn = self._stack[-1]
         cmp_pc = self._pc(fn, label + "$cmp")
         br_pc = self._pc(fn, label + "$br")
+        records = self._records
         self.clock.tick(tid)
-        self.store.append(TraceRecord(tid, cmp_pc, _CMP, fn, NO_REGS, _FLAGS_ONLY, tuple(reads)))
+        records.append(new_record(tid, cmp_pc, _CMP, fn, NO_REGS, _FLAGS_ONLY, tuple(reads)))
         self.clock.tick(tid)
-        self.store.append(TraceRecord(tid, br_pc, _BRANCH, fn, _FLAGS_ONLY))
+        records.append(new_record(tid, br_pc, _BRANCH, fn, _FLAGS_ONLY))
 
     # ------------------------------------------------------------------ #
     # Functions                                                          #
@@ -229,7 +235,7 @@ class Tracer:
         if pc is None:
             pc = self._pc(caller, label)
         self.clock.tick(tid)
-        self.store.append(TraceRecord(tid, pc, _CALL, caller))
+        self._records.append(new_record(tid, pc, _CALL, caller))
         self._stack.append(callee)
 
     def ret(self) -> None:
@@ -245,7 +251,7 @@ class Tracer:
         if pc is None:
             pc = self._pc(fn, "$ret")
         self.clock.tick(tid)
-        self.store.append(TraceRecord(tid, pc, _RET, fn))
+        self._records.append(new_record(tid, pc, _RET, fn))
         stack.pop()
 
     def function(self, name: str, site: Optional[str] = None) -> _Invocation:
@@ -275,13 +281,15 @@ class Tracer:
         fn = self._stack[-1]
         pc = self._pc(fn, f"syscall:{name}")
         self.clock.tick(tid)
-        return self.store.append(
-            TraceRecord(
+        records = self._records
+        records.append(
+            new_record(
                 tid, pc, _SYSCALL, fn,
                 SYSCALL_ARG_REGISTERS[: model.nargs], SYSCALL_RESULT_REGISTERS,
                 tuple(reads), tuple(writes), model.number,
             )
         )
+        return len(records) - 1
 
     def marker(self, tag: str, cells: Tuple[int, ...] = ()) -> int:
         """Emit a MARKER record (the paper's ``xchg %r13w,%r13w``).
@@ -297,9 +305,11 @@ class Tracer:
         pc = self._pc(fn, f"marker:{tag}")
         cells = tuple(cells)
         self.clock.tick(tid)
-        index = self.store.append(
-            TraceRecord(tid, pc, _MARKER, fn, NO_REGS, NO_REGS, cells, NO_MEM, None, tag)
+        records = self._records
+        records.append(
+            new_record(tid, pc, _MARKER, fn, NO_REGS, NO_REGS, cells, NO_MEM, None, tag)
         )
+        index = len(records) - 1
         if tag == TILE_MARKER:
             self.store.metadata.tile_buffers.append((index, cells))
         elif tag == LOAD_COMPLETE_MARKER:

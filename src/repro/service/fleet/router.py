@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 from ..cache import cache_key
 from ..client import ServiceClient, ServiceError
 from ..metrics import merge_snapshots
-from ...trace.store import file_digest
+from ...trace.store import FileDigestMemo
 from .ring import FleetConfig, HashRing
 
 
@@ -54,7 +54,7 @@ class FleetClient:
         #: (shard id, digest) pairs already streamed — one upload per
         #: shard per trace, then every submit is a trace_ref.
         self._uploaded: Set[Tuple[str, str]] = set()
-        self._digests: Dict[str, str] = {}  # abspath -> digest memo
+        self._digests = FileDigestMemo()
 
     @property
     def fleet(self) -> FleetConfig:
@@ -89,16 +89,13 @@ class FleetClient:
         return self._ring.owner(self.key_for(digest, criteria, engine, frame))
 
     def trace_digest(self, path: Union[str, Path]) -> str:
-        """sha256 of the trace file, memoized per absolute path."""
-        abspath = str(Path(path).resolve())
-        with self._lock:
-            known = self._digests.get(abspath)
-        if known is not None:
-            return known
-        digest = file_digest(abspath)
-        with self._lock:
-            self._digests[abspath] = digest
-        return digest
+        """sha256 of the trace file's current bytes.
+
+        Memoized per absolute path while the file's stat identity holds
+        (:class:`~repro.trace.store.FileDigestMemo`), so a rewritten file
+        is hashed again and submitted under its new digest.
+        """
+        return self._digests.digest(Path(path).resolve())
 
     # -- submits -------------------------------------------------------- #
 

@@ -6,7 +6,7 @@ in :mod:`repro.machine`) and the trace *consumer* (the backward-slicing
 profiler in :mod:`repro.profiler`).
 """
 
-from .records import InstrKind, TraceRecord, TraceMetadata
+from .records import InstrKind, TraceRecord, TraceMetadata, new_record
 from .store import TraceStore, save_trace, load_trace, load_any_trace
 from .symbols import SymbolTable
 
@@ -14,6 +14,7 @@ __all__ = [
     "InstrKind",
     "TraceRecord",
     "TraceMetadata",
+    "new_record",
     "TraceStore",
     "SymbolTable",
     "save_trace",

@@ -64,7 +64,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .records import FrameSpan, InstrKind, TraceRecord, TraceMetadata
+from .records import FrameSpan, InstrKind, TraceRecord, TraceMetadata, new_record
 from .store import (
     TraceStore,
     _Cursor,
@@ -261,7 +261,7 @@ class ColumnarTrace:
     def _record_at(self, i: int) -> TraceRecord:
         syscall1 = int(self.syscall1[i])
         marker1 = int(self.marker1[i])
-        return TraceRecord(
+        return new_record(
             tid=int(self.tid[i]),
             pc=int(self.pc[i]),
             kind=InstrKind(int(self.kind[i])),
@@ -328,20 +328,21 @@ class ColumnarTrace:
         rr0, rw0, mr0, mw0 = rr_off[0], rw_off[0], mr_off[0], mw_off[0]
         markers = self.markers
         kind_of = InstrKind
+        record = new_record
         out: List[TraceRecord] = []
         for j in range(hi - lo):
             out.append(
-                TraceRecord(
-                    tid=tids[j],
-                    pc=pcs[j],
-                    kind=kind_of(kinds[j]),
-                    fn=fns[j],
-                    regs_read=tuple(rr[rr_off[j] - rr0 : rr_off[j + 1] - rr0]),
-                    regs_written=tuple(rw[rw_off[j] - rw0 : rw_off[j + 1] - rw0]),
-                    mem_read=tuple(mr[mr_off[j] - mr0 : mr_off[j + 1] - mr0]),
-                    mem_written=tuple(mw[mw_off[j] - mw0 : mw_off[j + 1] - mw0]),
-                    syscall=None if sys1[j] == 0 else sys1[j] - 1,
-                    marker=None if mk1[j] == 0 else markers[mk1[j] - 1],
+                record(
+                    tids[j],
+                    pcs[j],
+                    kind_of(kinds[j]),
+                    fns[j],
+                    tuple(rr[rr_off[j] - rr0 : rr_off[j + 1] - rr0]),
+                    tuple(rw[rw_off[j] - rw0 : rw_off[j + 1] - rw0]),
+                    tuple(mr[mr_off[j] - mr0 : mr_off[j + 1] - mr0]),
+                    tuple(mw[mw_off[j] - mw0 : mw_off[j + 1] - mw0]),
+                    None if sys1[j] == 0 else sys1[j] - 1,
+                    None if mk1[j] == 0 else markers[mk1[j] - 1],
                 )
             )
         return out

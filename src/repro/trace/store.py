@@ -30,11 +30,15 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
 import struct
+import threading
+import time
 from collections import Counter
 from operator import attrgetter
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -45,7 +49,7 @@ from typing import (
     Union,
 )
 
-from .records import FrameSpan, InstrKind, TraceRecord, TraceMetadata
+from .records import FrameSpan, InstrKind, TraceRecord, TraceMetadata, new_record
 from .symbols import SymbolTable
 
 # Unnecessary Computations in Web Apps.  v2 ends the metadata with a
@@ -108,7 +112,11 @@ class TraceStore:
         return reversed(self._records)
 
     def records(self) -> List[TraceRecord]:
-        """Direct access to the underlying record list (read-only use)."""
+        """Direct access to the underlying record list.
+
+        Read-only use, except by the :class:`~repro.machine.tracer.Tracer`
+        that owns the store: it appends its records here directly.
+        """
         return self._records
 
     def span(self, lo: int, hi: int) -> List[TraceRecord]:
@@ -307,6 +315,70 @@ def file_digest(path: Union[str, Path]) -> str:
     return hasher.hexdigest()
 
 
+#: What identifies one version of a file's bytes without reading them:
+#: ``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)``.
+FileIdentity = Tuple[int, int, int, int, int]
+
+
+def file_identity(path: Union[str, Path]) -> FileIdentity:
+    """The stat fields a rewrite of ``path`` changes (see :data:`FileIdentity`).
+
+    An in-place rewrite that keeps the size and restores the mtime still
+    moves the ctime, which no user call can set back; a file replaced by
+    another (``os.replace``) has a new inode.
+    """
+    st = os.stat(path)
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+#: git's "racy clean" window: a file whose mtime or ctime is this recent
+#: may be rewritten within the same timestamp granule, leaving every
+#: :data:`FileIdentity` field as it was, so its digest is not memoized.
+RACY_WINDOW_NS = 2_000_000_000
+
+
+class FileDigestMemo:
+    """:func:`file_digest` memoized per path, valid while the file's
+    :data:`FileIdentity` is unchanged.
+
+    A lookup hits only when the path's identity equals the one stored
+    with its digest, so a rewritten or replaced file is hashed again.
+    A file whose mtime or ctime lies within :data:`RACY_WINDOW_NS` of
+    ``clock()`` is hashed on every call and never stored, nor is one
+    whose identity moved while it was hashed.  One entry per path, so a
+    long-lived memo does not grow with rewrites.  Hashing happens
+    outside the memo's lock.
+
+    ``clock`` returns wall-clock nanoseconds (the stat timestamps' scale);
+    a test passes its own to age a file without sleeping.
+    """
+
+    def __init__(self, clock: Callable[[], int] = time.time_ns) -> None:
+        self._clock = clock
+        self._lock = threading.Lock()
+        self._entries: Dict[str, Tuple[FileIdentity, str]] = {}
+
+    def digest(self, path: Union[str, Path]) -> str:
+        """Hex sha256 of the bytes at ``path`` (see :func:`file_digest`)."""
+        key = os.fspath(path)
+        identity = file_identity(key)
+        with self._lock:
+            entry = self._entries.get(key)
+        if entry is not None and entry[0] == identity:
+            return entry[1]
+        digest = file_digest(key)
+        now = self._clock()
+        mtime_ns, ctime_ns = identity[3], identity[4]
+        if (
+            now - mtime_ns >= RACY_WINDOW_NS
+            and now - ctime_ns >= RACY_WINDOW_NS
+            and file_identity(key) == identity
+        ):
+            with self._lock:
+                self._entries[key] = (identity, digest)
+        return digest
+
+
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -399,8 +471,8 @@ def _decode_records(
     the record section, so those records come back with ``marker=None``
     and :func:`_patch_markers` fills the names in once the table is read.
 
-    One pass: precompiled structs, kinds from a lookup table, positional
-    ``TraceRecord`` construction.  The reads enforce the bounds: every
+    One pass: precompiled structs, kinds from a lookup table, records
+    built positionally by :func:`~repro.trace.records.new_record`.  The reads enforce the bounds: every
     ``unpack_from`` and byte index raises when it would run past the end,
     and every slice is followed by such a read within the same record.
     Any failure is re-raised as a ``ValueError`` naming the file, the
@@ -418,7 +490,7 @@ def _decode_records(
     u16 = _U16.unpack_from
     addrs = _ADDRS
     kinds = _KINDS
-    record = TraceRecord
+    record = new_record
     records: List[TraceRecord] = []
     append = records.append
     marked: List[Tuple[int, int]] = []
@@ -503,7 +575,7 @@ def _patch_markers(
                 f"marker table holds {len(markers)}"
             )
         r = records[pos]
-        records[pos] = TraceRecord(
+        records[pos] = new_record(
             r.tid, r.pc, r.kind, r.fn, r.regs_read, r.regs_written,
             r.mem_read, r.mem_written, r.syscall, markers[marker_id],
         )
