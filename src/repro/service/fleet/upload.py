@@ -12,8 +12,9 @@ materializing the full UCWA image in memory:
   size;
 * ``trace-end`` carries the client's digest.  The server accepts the
   upload only if its running digest matches (``digest-mismatch``
-  otherwise) and the spooled bytes carry a UCWA magic header
-  (``bad-upload`` otherwise), then atomically renames the spool to
+  otherwise) and the spooled bytes start with the UCWA3 header
+  (``bad-upload`` otherwise: a UCWA2 file is refused like any other
+  non-trace), then atomically renames the spool to
   ``uploads/<digest>.ucwa``.
 
 The registered file is content-addressed by construction: its name *is*
@@ -32,6 +33,8 @@ import uuid
 from pathlib import Path
 from typing import BinaryIO, Iterator, List, Optional, Union
 
+from ...trace.store import _HEADER_V3
+
 #: Default client-side read/ship granularity.  Big enough that framing
 #: overhead is noise, small enough that per-connection memory is trivial.
 CHUNK_SIZE_DEFAULT = 256 * 1024
@@ -39,8 +42,6 @@ CHUNK_SIZE_DEFAULT = 256 * 1024
 #: Hard per-chunk cap enforced server-side (decoded bytes).  A chunk
 #: above this is a protocol violation, not a tuning knob.
 MAX_CHUNK_BYTES = 8 * 1024 * 1024
-
-_UCWA_MAGICS = (b"UCWA2\n", b"UCWA3\n")
 
 
 def upload_path(directory: Union[str, Path], digest: str) -> Path:
@@ -122,12 +123,12 @@ class UploadSession:
                 f"{str(claimed_digest)[:16]}… after {self.received} bytes",
             )
         with open(self._spool, "rb") as fh:
-            magic = fh.read(6)
-        if magic not in _UCWA_MAGICS:
+            magic = fh.read(len(_HEADER_V3))
+        if magic != _HEADER_V3:
             self._spool.unlink(missing_ok=True)
             raise UploadError(
                 protocol.ERR_BAD_UPLOAD,
-                "uploaded bytes are not a UCWA trace (bad magic)",
+                "uploaded bytes are not a UCWA3 trace (bad magic)",
             )
         final = upload_path(self._dir, digest)
         os.replace(self._spool, final)

@@ -146,18 +146,20 @@ class JobSpec:
 def resolve_trace(spec: JobSpec):
     """Materialize the spec's trace: load the file or run the workload.
 
-    Trace files load through :func:`repro.trace.store.load_any_trace`, so
-    path jobs accept every UCWA format (columnar v3 included — the cheap
-    way to feed the ``vectorized`` engine).  Workload runs use the same
-    recipe as ``harness.experiments.run_benchmark`` (``metrics_ticks=2``),
-    so a service job over a workload sees the byte-identical trace the
-    in-process harness sees.
+    Trace files load through :func:`repro.trace.store.load_any_trace`
+    (UCWA3).  A file that is not a readable trace — a UCWA2 file among
+    them — raises :class:`SpecError` with the loader's message, so the
+    job fails as ``job-failed`` and nothing is cached.  Workload runs use
+    the same recipe as ``harness.experiments.run_benchmark``
+    (``metrics_ticks=2``), so a service job over a workload sees the
+    byte-identical trace the in-process harness sees.
     """
-    if spec.trace_path is not None:
-        return load_any_trace(spec.trace_path)
-    if spec.trace_ref is not None:
-        path = resolve_trace_ref(spec)
-        return load_any_trace(path)
+    if spec.trace_path is not None or spec.trace_ref is not None:
+        path = spec.trace_path if spec.trace_path is not None else resolve_trace_ref(spec)
+        try:
+            return load_any_trace(path)
+        except ValueError as err:
+            raise SpecError(str(err)) from None
     from ..harness.experiments import run_engine
     from ..workloads import benchmark
 

@@ -7,7 +7,7 @@ profiler in :mod:`repro.profiler`).
 """
 
 from .records import InstrKind, TraceRecord, TraceMetadata, new_record
-from .store import TraceStore, save_trace, load_trace, load_any_trace
+from .store import TraceStore, load_any_trace
 from .symbols import SymbolTable
 
 __all__ = [
@@ -17,7 +17,5 @@ __all__ = [
     "new_record",
     "TraceStore",
     "SymbolTable",
-    "save_trace",
-    "load_trace",
     "load_any_trace",
 ]

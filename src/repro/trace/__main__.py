@@ -3,19 +3,18 @@
 Usage::
 
     python -m repro.trace collect amazon_desktop /tmp/amazon.ucwa
-    python -m repro.trace collect amazon_desktop /tmp/amazon2.ucwa --format=v2
     python -m repro.trace info /tmp/amazon.ucwa
     python -m repro.trace lint /tmp/amazon.ucwa [--json] [--checkpoint=PATH]
-    python -m repro.trace convert /tmp/amazon2.ucwa /tmp/amazon3.ucwa
+    python -m repro.trace convert /tmp/amazon.ucwa /tmp/bare.ucwa --no-index
     python -m repro.trace slice /tmp/amazon.ucwa
     python -m repro.trace slice /tmp/amazon.ucwa --criteria=syscalls
     python -m repro.trace slice /tmp/amazon.ucwa --engine=sequential
 
 ``collect`` runs a registered benchmark with the harness recipe (the
 trace ``run_benchmark`` and a service workload job see) and saves its
-trace in the columnar UCWA3 layout with its precomputed slice index
-(the same bytes ``convert`` writes; ``--format=v2`` writes the
-row-oriented UCWA2 instead); ``info``
+trace in the columnar UCWA3 layout, the one on-disk format, with its
+precomputed slice index (the same bytes ``convert`` writes;
+``--format=v3`` names that format and changes nothing); ``info``
 prints per-thread and symbol statistics; ``lint`` checks the sanitizer's
 well-formedness invariants (CALL/RET balance, use-before-def, lock
 discipline, marker clock, frame-epoch monotonicity — see
@@ -25,10 +24,8 @@ machine-readable report instead; ``--checkpoint=PATH`` additionally runs
 the ``checkpoint-consistency`` check against a serialized incremental
 slice checkpoint (a ``TRACE.ckpt`` sidecar, when present, is picked up
 automatically; see docs/incremental-slicing.md); ``convert`` re-encodes
-a trace between
-formats (``--format=v3`` default, ``--format=v2`` for the row layout,
-``--no-index`` to skip the stored slice index — see
-docs/trace-format.md); ``slice`` runs a backward slice on a
+a trace file, attaching the stored slice index (``--no-index`` drops it
+— see docs/trace-format.md); ``slice`` runs a backward slice on a
 stored trace (demonstrating the collect-once, profile-many workflow the
 paper uses).  ``--criteria`` picks the criteria family — ``pixels``
 (default), ``syscalls``, or ``pixels+syscalls`` (paper Section V);
@@ -38,10 +35,10 @@ and the reference ``sequential`` engine otherwise; the ``engine:`` line
 names the engine that ran.  ``--engine=sequential`` forces the
 reference; ``--engine=vectorized`` the array-join engine on any trace;
 ``--engine=incremental`` the frame-region checkpointing engine (see
-docs/incremental-slicing.md).  ``info``, ``lint``, ``convert``, and
-``slice`` accept every UCWA format.  Unknown criteria, engines, options,
-formats, and workload names exit with status 2, as do a trace path that
-cannot be read and a ``collect`` destination whose directory does not
+docs/incremental-slicing.md).  Unknown criteria, engines, options,
+formats (any ``--format`` but ``v3``), and workload names exit with
+status 2, as do a trace path that cannot be read (a UCWA2 file
+included) and a ``collect`` destination whose directory does not
 exist (checked before the simulation runs); those print ``error: ...``
 on stderr.
 """
@@ -54,7 +51,7 @@ import sys
 from collections import Counter
 from typing import Optional
 
-from .store import load_any_trace, save_trace
+from .store import load_any_trace
 
 
 def _error(message: object) -> int:
@@ -63,7 +60,7 @@ def _error(message: object) -> int:
     return 2
 
 
-def _collect(name: str, path: str, fmt: str = "v3") -> int:
+def _collect(name: str, path: str) -> int:
     from ..harness.experiments import run_engine
     from ..workloads import benchmark
 
@@ -78,24 +75,28 @@ def _collect(name: str, path: str, fmt: str = "v3") -> int:
     engine = run_engine(bench, metrics_ticks=2)
     store = engine.trace_store()
     try:
-        if fmt == "v3":
-            from .columnar import save_ucwa3
+        from .columnar import save_ucwa3
 
-            save_ucwa3(store, path)
-        else:
-            save_trace(store, path)
+        save_ucwa3(store, path)
     except OSError as err:
         return _error(err)
     print(f"saved {len(store)} records ({len(store.thread_ids())} threads) to {path}")
     return 0
 
 
-def _convert(src: str, dst: str, fmt: str = "v3", with_index: bool = True) -> int:
+def _convert(src: str, dst: str, with_index: bool = True) -> int:
     from .columnar import convert_trace
 
-    convert_trace(src, dst, fmt=fmt, with_index=with_index)
-    print(f"wrote {dst} ({fmt}, {os.path.getsize(dst)} bytes)")
+    convert_trace(src, dst, with_index=with_index)
+    print(f"wrote {dst} ({os.path.getsize(dst)} bytes)")
     return 0
+
+
+def _format_ok(fmt: str) -> bool:
+    """UCWA3 is the one format ``collect`` and ``convert`` write."""
+    if fmt != "v3":
+        print(f"unknown format {fmt!r}; expected 'v3'")
+    return fmt == "v3"
 
 
 def _info(path: str) -> int:
@@ -242,11 +243,10 @@ def main(argv) -> int:
             else:
                 print(f"unknown option {opt!r}")
                 return 2
-        if fmt not in ("v2", "v3"):
-            print(f"unknown format {fmt!r}; expected 'v2' or 'v3'")
+        if not _format_ok(fmt):
             return 2
         try:
-            return _convert(argv[1], argv[2], fmt=fmt, with_index=with_index)
+            return _convert(argv[1], argv[2], with_index=with_index)
         except (ValueError, OSError) as err:
             return _error(err)
     if len(argv) >= 3 and argv[0] == "collect":
@@ -257,10 +257,9 @@ def main(argv) -> int:
             else:
                 print(f"unknown option {opt!r}")
                 return 2
-        if fmt not in ("v2", "v3"):
-            print(f"unknown format {fmt!r}; expected 'v2' or 'v3'")
+        if not _format_ok(fmt):
             return 2
-        return _collect(argv[1], argv[2], fmt=fmt)
+        return _collect(argv[1], argv[2])
     print(__doc__)
     return 2
 

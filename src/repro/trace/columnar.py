@@ -1,8 +1,6 @@
 """UCWA3: columnar (struct-of-arrays) trace format.
 
-The row-oriented UCWA2 encoding interleaves every record's fields, so
-any analysis pays full per-record Python decode costs even when it only
-needs one column.  UCWA3 stores the same logical trace as flat typed
+UCWA3 is the one on-disk trace format.  It stores a trace as flat typed
 arrays — one array per fixed-width field, plus shared offset+value pools
 for the variable-length operand lists — so the vectorized slicer
 (:mod:`repro.profiler.vectorized`) can run batch array joins instead of
@@ -28,8 +26,8 @@ the format is forward-extensible):
 ``REGW``    same for regs written
 ``MEMR``    per-record mem-read counts array + flat address array
 ``MEMW``    same for mem written
-``META``    metadata tail, byte-identical to the canonical UCWA2
-            metadata encoding (thread names, tile buffers,
+``META``    metadata tail, byte-identical to the metadata encoding of
+            the digest image (thread names, tile buffers,
             load-complete index, frame spans)
 ``INVT``    *derived, optional*: per-record invocation id + per-
             invocation CALL/RET indices and function symbol
@@ -38,22 +36,25 @@ the format is forward-extensible):
 ==========  ==========================================================
 
 Arrays use an adaptive integer width (u8/u16/u32/u64, whichever fits the
-maximum value), which keeps a v3 file at or below its v2 size even with
-the derived sections included.  Every array is decoded zero-copy with
-``np.frombuffer`` over one ``mmap`` of the file, so loading is O(sections)
-and epoch slicing is pure array slicing.
+maximum value), which keeps a file at or below the size of the trace's
+digest image even with the derived sections included.  Every array is
+decoded zero-copy with ``np.frombuffer`` over one ``mmap`` of the file, so
+loading is O(sections) and epoch slicing is pure array slicing.  Loading
+checks every ``kind`` and marker id against its table, so a record built
+later cannot fail.
 
 The ``INVT``/``EDGE`` sections cache what the vectorized slicer would
 otherwise derive on first use (see
 :func:`repro.profiler.vectorized.attach_index`); they are excluded from
-:func:`repro.trace.store.trace_digest`, which always hashes the canonical
-UCWA2 image — so digests are format-invariant and service cache keys do
-not churn when a trace is converted.
+:func:`repro.trace.store.trace_digest`, which hashes the digest image
+(:func:`repro.trace.store.serialize_trace`) — so a row store and every
+UCWA3 file of it, indexed or not, share one digest.
 """
 
 from __future__ import annotations
 
 import copy
+import gc
 import mmap
 import struct
 from dataclasses import dataclass
@@ -65,25 +66,50 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .records import FrameSpan, InstrKind, TraceRecord, TraceMetadata, new_record
-from .store import (
-    TraceStore,
-    _Cursor,
-    _encode_metadata,
-    _HEADER_V3,
-    _read_metadata,
-    epoch_bounds,
-)
+from .store import TraceStore, _encode_metadata, _HEADER_V3, epoch_bounds
 from .symbols import SymbolTable
 
 _SECTION = struct.Struct("<4sQQ")  # tag, absolute offset, length
+_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
+_THREAD_NAME = struct.Struct("<IH")
+_FRAME_SPAN = struct.Struct("<IqqH")
 _ARR_HEAD = struct.Struct("<BQ")  # width code, element count
 
 _DTYPES: Dict[int, type] = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 #: Sections a well-formed v3 file must carry (derived sections are optional).
 _REQUIRED = (b"SYMS", b"MRKS", b"CORE", b"REGR", b"REGW", b"MEMR", b"MEMW", b"META")
+
+#: ``InstrKind`` by encoded value: the record builders' kind lookup table.
+_KINDS: Tuple[InstrKind, ...] = tuple(InstrKind(v) for v in range(len(InstrKind)))
+
+
+def _nonzero(column: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """``(position, value)`` of every nonzero entry of ``column``."""
+    at = np.flatnonzero(column)
+    return zip(at.tolist(), column[at].tolist())
+
+
+def _operands(off: np.ndarray, pool: np.ndarray, lo: int, hi: int) -> List[tuple]:
+    """The operand tuples of records ``[lo, hi)`` from one offset+pool pair.
+
+    Only the records that have operands get a tuple of their own, sliced
+    from one tuple of the pool; the rest share ``()``.
+    """
+    out: List[tuple] = [()] * (hi - lo)
+    bounds = off[lo : hi + 1]
+    has = np.flatnonzero(np.diff(bounds))
+    if len(has):
+        base = int(bounds[0])
+        values = tuple(pool[base : int(bounds[-1])].tolist())
+        starts = (bounds[has] - base).tolist()
+        ends = (bounds[has + 1] - base).tolist()
+        for j, start, end in zip(has.tolist(), starts, ends):
+            out[j] = values[start:end]
+    return out
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -145,6 +171,16 @@ class _SectionCursor:
         raw = bytes(self.buf[self.pos : self.pos + n])
         self.pos += n
         return raw
+
+    def take_str(self, n: int) -> str:
+        at = self.pos
+        raw = self.take_bytes(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(
+                f"{self.label}: invalid UTF-8 string at offset {at}"
+            ) from None
 
     def take_array(self) -> np.ndarray:
         width, count = self.take(_ARR_HEAD)
@@ -264,7 +300,7 @@ class ColumnarTrace:
         return new_record(
             tid=int(self.tid[i]),
             pc=int(self.pc[i]),
-            kind=InstrKind(int(self.kind[i])),
+            kind=_KINDS[int(self.kind[i])],
             fn=int(self.fn[i]),
             regs_read=tuple(
                 self.rr[self.rr_off[i] : self.rr_off[i + 1]].tolist()
@@ -307,45 +343,48 @@ class ColumnarTrace:
     def materialize(self, lo: int, hi: int) -> List[TraceRecord]:
         """Build records ``[lo, hi)`` from the columns, keeping nothing.
 
-        One ``.tolist()`` per column slice instead of per-record numpy
-        scalar indexing.  A one-pass reader that must not hold what it
-        read (an epoch stream) calls this instead of :meth:`span`.
+        Every field is a list built from a column slice, and the records
+        come from one ``map`` of :func:`~repro.trace.records.new_record`
+        over those lists.  Kinds come from a lookup table, and only the
+        records that have operands (or a syscall, or a marker) get their
+        own value; every other record shares ``()`` (or ``None``).  A
+        one-pass reader that must not hold what it read (an epoch
+        stream) calls this instead of :meth:`span`.
+
+        The cyclic garbage collector is paused for the pass and restored
+        however it ends: records and their operand tuples cannot form
+        cycles, so the collections their allocation burst would trigger
+        only rescan the growing record list.
         """
-        tids = self.tid[lo:hi].tolist()
-        pcs = self.pc[lo:hi].tolist()
-        kinds = self.kind[lo:hi].tolist()
-        fns = self.fn[lo:hi].tolist()
-        sys1 = self.syscall1[lo:hi].tolist()
-        mk1 = self.marker1[lo:hi].tolist()
-        rr_off = self.rr_off[lo : hi + 1].tolist()
-        rw_off = self.rw_off[lo : hi + 1].tolist()
-        mr_off = self.mr_off[lo : hi + 1].tolist()
-        mw_off = self.mw_off[lo : hi + 1].tolist()
-        rr = self.rr[rr_off[0] : rr_off[-1]].tolist()
-        rw = self.rw[rw_off[0] : rw_off[-1]].tolist()
-        mr = self.mr[mr_off[0] : mr_off[-1]].tolist()
-        mw = self.mw[mw_off[0] : mw_off[-1]].tolist()
-        rr0, rw0, mr0, mw0 = rr_off[0], rw_off[0], mr_off[0], mw_off[0]
-        markers = self.markers
-        kind_of = InstrKind
-        record = new_record
-        out: List[TraceRecord] = []
-        for j in range(hi - lo):
-            out.append(
-                record(
-                    tids[j],
-                    pcs[j],
-                    kind_of(kinds[j]),
-                    fns[j],
-                    tuple(rr[rr_off[j] - rr0 : rr_off[j + 1] - rr0]),
-                    tuple(rw[rw_off[j] - rw0 : rw_off[j + 1] - rw0]),
-                    tuple(mr[mr_off[j] - mr0 : mr_off[j + 1] - mr0]),
-                    tuple(mw[mw_off[j] - mw0 : mw_off[j + 1] - mw0]),
-                    None if sys1[j] == 0 else sys1[j] - 1,
-                    None if mk1[j] == 0 else markers[mk1[j] - 1],
+        n = hi - lo
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            syscalls: List[Optional[int]] = [None] * n
+            for j, syscall1 in _nonzero(self.syscall1[lo:hi]):
+                syscalls[j] = syscall1 - 1
+            markers: List[Optional[str]] = [None] * n
+            names = self.markers
+            for j, marker1 in _nonzero(self.marker1[lo:hi]):
+                markers[j] = names[marker1 - 1]
+            return list(
+                map(
+                    new_record,
+                    self.tid[lo:hi].tolist(),
+                    self.pc[lo:hi].tolist(),
+                    map(_KINDS.__getitem__, self.kind[lo:hi].tolist()),
+                    self.fn[lo:hi].tolist(),
+                    _operands(self.rr_off, self.rr, lo, hi),
+                    _operands(self.rw_off, self.rw, lo, hi),
+                    _operands(self.mr_off, self.mr, lo, hi),
+                    _operands(self.mw_off, self.mw, lo, hi),
+                    syscalls,
+                    markers,
                 )
             )
-        return out
+        finally:
+            if collecting:
+                gc.enable()
 
     def records(self) -> List[TraceRecord]:
         """Full materialized record list (cached after first call)."""
@@ -428,8 +467,9 @@ class ColumnarTrace:
         """Build columns from an in-memory row store.
 
         Marker ids are assigned in first-use order — the same rule as the
-        canonical serializer — so a v2 → v3 → v2 round trip is
-        byte-identical.  The trace keeps a shallow copy of the row list
+        digest image (:func:`~repro.trace.store.serialize_trace`), so a
+        store written, loaded and serialized gives the store's own image.
+        The trace keeps a shallow copy of the row list
         as its materialized records, so a consumer that needs record
         objects (the CDG pass of :func:`~repro.profiler.vectorized.attach_index`
         on the v3 write path) reuses them instead of rebuilding them from
@@ -614,7 +654,7 @@ def save_ucwa3(
 
 def _read_section_table(buf, size: int, path: str) -> Dict[bytes, Tuple[int, int]]:
     if size < len(_HEADER_V3) or bytes(buf[: len(_HEADER_V3)]) != _HEADER_V3:
-        raise ValueError(f"{path}: not a UCWA trace file")
+        raise ValueError(f"{path}: not a UCWA3 trace file")
     pos = len(_HEADER_V3)
     if pos + _U32.size > size:
         raise ValueError(f"{path}: truncated section table")
@@ -648,9 +688,34 @@ def _decode_names(cur: _SectionCursor) -> List[str]:
     (count,) = cur.take(_U32)
     names: List[str] = []
     for _ in range(count):
-        (length,) = cur.take(struct.Struct("<H"))
-        names.append(cur.take_bytes(length).decode("utf-8"))
+        (length,) = cur.take(_U16)
+        names.append(cur.take_str(length))
     return names
+
+
+def _read_metadata(cur: _SectionCursor) -> TraceMetadata:
+    """Decode the ``META`` section (:func:`~repro.trace.store._encode_metadata`)."""
+    meta = TraceMetadata()
+    for _ in range(cur.take(_U16)[0]):
+        tid, length = cur.take(_THREAD_NAME)
+        meta.thread_names[tid] = cur.take_str(length)
+    for _ in range(cur.take(_U32)[0]):
+        (index,) = cur.take(_U64)
+        (n,) = cur.take(_U16)
+        meta.tile_buffers.append((index, cur.take(struct.Struct(f"<{n}Q"))))
+    (load_idx,) = cur.take(_I64)
+    meta.load_complete_index = None if load_idx < 0 else load_idx
+    for _ in range(cur.take(_U32)[0]):
+        frame_id, begin, end, length = cur.take(_FRAME_SPAN)
+        meta.frames.append(
+            FrameSpan(
+                frame_id=frame_id,
+                kind=cur.take_str(length),
+                begin=begin,
+                end=None if end < 0 else end,
+            )
+        )
+    return meta
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -709,16 +774,24 @@ def parse_columnar(buf, path: str = "<bytes>") -> ColumnarTrace:
                 f"{path}: CORE column {name} holds {len(col)} values "
                 f"for {n} records"
             )
+    if n and int(kind.max()) >= len(_KINDS):
+        i = int(np.argmax(kind >= len(_KINDS)))
+        raise ValueError(
+            f"{path}: record {i} has unknown instruction kind {int(kind[i])}"
+        )
+    if n and int(marker1.max()) > len(markers):
+        i = int(np.argmax(marker1 > len(markers)))
+        raise ValueError(
+            f"{path}: record {i} names marker {int(marker1[i]) - 1}, but the "
+            f"marker table holds {len(markers)}"
+        )
 
     rr_off, rr = _pool_sections(section(b"REGR"), n, "REGR", path)
     rw_off, rw = _pool_sections(section(b"REGW"), n, "REGW", path)
     mr_off, mr = _pool_sections(section(b"MEMR"), n, "MEMR", path)
     mw_off, mw = _pool_sections(section(b"MEMW"), n, "MEMW", path)
 
-    metadata = TraceMetadata()
-    meta_off, meta_len = table[b"META"]
-    meta = _Cursor(bytes(buf[meta_off : meta_off + meta_len]), label=path)
-    _read_metadata(meta, metadata)
+    metadata = _read_metadata(section(b"META"))
 
     index: Optional[SliceIndex] = None
     if b"INVT" in table and b"EDGE" in table:
@@ -802,16 +875,17 @@ def _decode_index(
 def load_columnar(path: Union[str, Path]) -> ColumnarTrace:
     """Load a UCWA3 file, mmap-backed: columns are zero-copy views.
 
-    Malformed input — wrong header, truncated file, a section whose
-    declared extent runs past the end — raises ``ValueError`` with the
-    path in the message.
+    Malformed input — wrong header (a UCWA2 or UCWA1 file included),
+    truncated file, a section whose declared extent runs past the end, an
+    unknown instruction kind, a marker id outside the marker table —
+    raises ``ValueError`` with the path in the message.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         try:
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except ValueError:  # zero-length file cannot be mapped
-            raise ValueError(f"{path}: not a UCWA trace file (empty)") from None
+            raise ValueError(f"{path}: not a UCWA3 trace file (empty)") from None
     trace = parse_columnar(buf, str(path))
     trace.source_path = str(path)
     return trace
@@ -820,21 +894,8 @@ def load_columnar(path: Union[str, Path]) -> ColumnarTrace:
 def convert_trace(
     src: Union[str, Path],
     dst: Union[str, Path],
-    fmt: str = "v3",
     with_index: bool = True,
 ) -> None:
-    """Convert between UCWA formats (the ``trace convert`` subcommand).
-
-    ``fmt="v3"`` re-encodes any readable trace as columnar UCWA3,
-    attaching the derived slice index unless ``with_index`` is False;
-    ``fmt="v2"`` writes the canonical row encoding (the digest image).
-    """
-    from .store import load_any_trace, save_trace
-
-    trace = load_any_trace(src)
-    if fmt == "v2":
-        save_trace(trace, dst)
-        return
-    if fmt != "v3":
-        raise ValueError(f"unknown trace format {fmt!r}; expected 'v2' or 'v3'")
-    save_ucwa3(trace, dst, with_index=with_index)
+    """Re-encode a UCWA3 file (the ``trace convert`` subcommand),
+    attaching the derived slice index unless ``with_index`` is False."""
+    save_ucwa3(load_columnar(src), dst, with_index=with_index)

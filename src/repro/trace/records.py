@@ -271,9 +271,9 @@ def new_record(
     which is then retyped, instead of through ten ``object.__setattr__``
     calls.  The result is an ordinary frozen ``TraceRecord`` (assignment
     raises, equality, hashing and pickling are the dataclass's).  The
-    tracer, the UCWA2 decoder and the UCWA3 record materializer build
-    every record through this; ``TraceRecord(...)`` stays for keyword
-    construction and :func:`dataclasses.replace`.
+    tracer and the UCWA3 record materializer build every record through
+    this; ``TraceRecord(...)`` stays for keyword construction and
+    :func:`dataclasses.replace`.
     """
     record: Any = _blank_record(_UnfrozenRecord)
     record.tid = tid

@@ -1,34 +1,21 @@
-"""Trace storage: in-memory store plus a compact binary file format.
+"""Trace storage: the in-memory store, trace identity and file loading.
 
 The paper stores instruction traces in stable storage and streams them in a
 forward pass and a backward pass.  ``TraceStore`` is the in-memory
-equivalent; :func:`save_trace` / :func:`load_trace` provide a durable binary
-round trip so traces can be collected once and profiled many times (the
-paper notes the computed CDG is likewise reusable across criteria).
+equivalent.  On disk a trace is a UCWA3 file (:mod:`.columnar`, written by
+:func:`repro.trace.columnar.save_ucwa3`), which :func:`load_any_trace`
+reads, so traces can be collected once and profiled many times (the paper
+notes the computed CDG is likewise reusable across criteria).
 
-Two on-disk formats share the ``.ucwa`` extension:
-
-* **UCWA2** — records + symbols + metadata, including frame spans.  This
-  is the *canonical* record-stream encoding: :func:`serialize_trace`
-  always emits it and :func:`trace_digest` hashes it, whatever format the
-  trace was loaded from.
-* **UCWA3** — the columnar struct-of-arrays layout (:mod:`.columnar`),
-  holding the same logical content plus optional derived index sections.
-
-:func:`load_any_trace` dispatches on the header; :func:`load_trace` reads
-the row-oriented v2 encoding only.
-
-All v2 parsing goes through one shared *section walker*
-(:class:`_RecordWalker`), one record decoder (:func:`_decode_records`) and
-its length-only twin (:func:`_skip_record`), so the full loader, the epoch
-streamer and the columnar ``META`` reader can never disagree about where
-a section starts.  Malformed input of any kind
-raises ``ValueError`` naming the file.
+:func:`serialize_trace` builds a trace's *digest image*: the byte layout
+of the retired row-oriented UCWA2 format, kept only because
+:func:`trace_digest` is defined as its sha256.  Nothing reads it back.
+The metadata encoding inside it (:func:`_encode_metadata`) is also the
+UCWA3 ``META`` section.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import os
 import struct
@@ -49,13 +36,13 @@ from typing import (
     Union,
 )
 
-from .records import FrameSpan, InstrKind, TraceRecord, TraceMetadata, new_record
+from .records import FrameSpan, TraceRecord, TraceMetadata
 from .symbols import SymbolTable
 
-# Unnecessary Computations in Web Apps.  v2 ends the metadata with a
-# frame-span section (the incremental pipeline's frame epochs).  v3 is the
-# columnar format handled by :mod:`repro.trace.columnar`.
-_HEADER = b"UCWA2\n"
+#: The digest image's first bytes (the retired UCWA2 file header).
+_DIGEST_HEADER = b"UCWA2\n"
+#: The header of a UCWA3 file, the one on-disk format
+#: (:mod:`repro.trace.columnar`).
 _HEADER_V3 = b"UCWA3\n"
 #: A record's fixed fields and its regs-read count: tid, pc, kind, fn,
 #: syscall (-1 = none), marker id (-1 = none), number of registers read.
@@ -201,10 +188,10 @@ def _pack_addr_list(addrs) -> bytes:
 
 
 def _encode_metadata(meta: TraceMetadata) -> bytes:
-    """Canonical v2 byte image of the metadata tail (maps sorted).
+    """Canonical byte image of the metadata tail (maps sorted).
 
     Shared by :func:`serialize_trace` and the columnar format's ``META``
-    section, so both formats agree byte-for-byte on metadata encoding.
+    section, so the two agree byte-for-byte on metadata encoding.
     ``notes`` are deliberately not serialized (collection-time scratch).
     """
     chunks: List[bytes] = []
@@ -229,19 +216,20 @@ def _encode_metadata(meta: TraceMetadata) -> bytes:
 
 
 def serialize_trace(store: TraceSource) -> bytes:
-    """Canonical UCWA2 byte image of a trace (records + symbols + metadata).
+    """The digest image of a trace (records + symbols + metadata).
 
-    The encoding is deterministic for a given trace: symbol names are
-    emitted in intern order, marker ids are assigned in first-use order,
-    and metadata maps are sorted.  :func:`save_trace` writes exactly these
-    bytes, and :func:`trace_digest` hashes them, so two stores holding the
-    same trace always share one digest — including a
+    The image is the layout of the old UCWA2 file format, byte for byte,
+    kept only as the definition of :func:`trace_digest`; no reader of it
+    is left.  The encoding is deterministic for a given trace: symbol
+    names are emitted in intern order, marker ids are assigned in
+    first-use order, and metadata maps are sorted.  So two stores holding
+    the same trace always share one digest — including a
     :class:`~repro.trace.columnar.ColumnarTrace` holding the same records
     (the digest is format-invariant by construction).
     """
     markers: List[str] = []
     marker_ids: dict = {}
-    chunks: List[bytes] = [_HEADER]
+    chunks: List[bytes] = [_DIGEST_HEADER]
 
     names = [name for _, name in store.symbols]
     chunks.append(struct.pack("<I", len(names)))
@@ -280,20 +268,17 @@ def serialize_trace(store: TraceSource) -> bytes:
     return b"".join(chunks)
 
 
-def save_trace(store: TraceSource, path: Union[str, Path]) -> None:
-    """Serialize a trace (records + symbols + metadata) in UCWA2 form."""
-    Path(path).write_bytes(serialize_trace(store))
-
-
 def trace_digest(store: TraceSource) -> str:
     """Stable content digest of a trace (hex sha256 of its byte image).
 
     Used as the content-addressing component of profiling-service cache
     keys: two submits over byte-identical traces share a digest, and any
     change to records, symbols, or metadata produces a new one.  The hash
-    is always taken over the canonical UCWA2 image, so a trace and its
-    columnar (UCWA3) conversion share one digest and service cache keys
-    never churn across formats.
+    is taken over the digest image (:func:`serialize_trace`), so a row
+    store and its columnar (UCWA3) conversion, indexed or not, share one
+    digest.  That image is the old UCWA2 file layout, kept only as this
+    digest's definition; redefining it moves every pinned digest and
+    service cache key.
     """
     return hashlib.sha256(serialize_trace(store)).hexdigest()
 
@@ -303,10 +288,10 @@ def file_digest(path: Union[str, Path]) -> str:
 
     For an on-disk job this is the cache-key digest: cheaper than parsing
     the trace, and any edit to the file (even a metadata-only one)
-    invalidates dependent cache entries.  Note a v2 file and its v3
-    re-save hash differently — the digest addresses *bytes*, not the
-    decoded record set (use :func:`trace_digest` for format-invariant
-    identity).
+    invalidates dependent cache entries.  Note an indexed file and its
+    ``--no-index`` conversion hash differently — the digest addresses
+    *bytes*, not the decoded record set (use :func:`trace_digest` for
+    format-invariant identity).
     """
     hasher = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -379,318 +364,16 @@ class FileDigestMemo:
         return digest
 
 
-_U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
-_THREAD_NAME = struct.Struct("<IH")
-_FRAME_SPAN = struct.Struct("<IqqH")
-#: Byte offset of the kind field inside ``_REC_HEAD`` (after tid, pc).
-_KIND_OFFSET = 12
-
-#: ``InstrKind`` by encoded value: the decoder's kind lookup table.
-_KINDS: Tuple[InstrKind, ...] = tuple(InstrKind(v) for v in range(len(InstrKind)))
-
-
-class _AddrStructs(Dict[int, struct.Struct]):
-    """``n -> struct.Struct("<nQ")``: one compiled struct per list length."""
-
-    def __missing__(self, n: int) -> struct.Struct:
-        st = self[n] = struct.Struct(f"<{n}Q")
-        return st
-
-
-_ADDRS = _AddrStructs()
-
-
-class _Cursor:
-    """Tiny sequential unpacker over a bytes object.
-
-    Every read is bounds-checked: running off the end of the buffer raises
-    ``ValueError`` carrying ``label`` (the file path), never a bare
-    ``struct.error`` or a silently-truncated byte string.  Offsets are
-    positions in ``data`` (the whole file image, header included).
-    """
-
-    def __init__(self, data: bytes, label: str = "<trace>", pos: int = 0) -> None:
-        self.data = data
-        self.pos = pos
-        self.label = label
-
-    def _need(self, n: int) -> None:
-        if self.pos + n > len(self.data):
-            raise ValueError(
-                f"{self.label}: truncated trace file "
-                f"(need {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos})"
-            )
-
-    def take(self, st: struct.Struct) -> tuple:
-        self._need(st.size)
-        values = st.unpack_from(self.data, self.pos)
-        self.pos += st.size
-        return values
-
-    def take_int(self, st: struct.Struct) -> int:
-        return self.take(st)[0]
-
-    def take_bytes(self, n: int) -> bytes:
-        self._need(n)
-        raw = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return raw
-
-    def skip(self, n: int) -> None:
-        self._need(n)
-        self.pos += n
-
-    def take_str(self, n: int) -> str:
-        at = self.pos
-        raw = self.take_bytes(n)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(
-                f"{self.label}: invalid UTF-8 string at offset {at}"
-            ) from None
-
-    def take_addrs(self) -> Tuple[int, ...]:
-        """A u16 count followed by that many u64 addresses."""
-        n = self.take_int(_U16)
-        return self.take(_ADDRS[n]) if n else ()
-
-
-def _decode_records(
-    cur: _Cursor, count: int
-) -> Tuple[List[TraceRecord], List[Tuple[int, int]]]:
-    """Decode ``count`` records at the cursor: the one record decoder.
-
-    Returns the records in order plus a ``(position, marker id)`` pair for
-    every record that names a marker.  Marker names live in a table after
-    the record section, so those records come back with ``marker=None``
-    and :func:`_patch_markers` fills the names in once the table is read.
-
-    One pass: precompiled structs, kinds from a lookup table, records
-    built positionally by :func:`~repro.trace.records.new_record`.  The reads enforce the bounds: every
-    ``unpack_from`` and byte index raises when it would run past the end,
-    and every slice is followed by such a read within the same record.
-    Any failure is re-raised as a ``ValueError`` naming the file, the
-    record and its offset.
-
-    The cyclic garbage collector is paused for the pass: records and
-    their operand tuples cannot form cycles, so the collections their
-    allocation burst would trigger only rescan the growing record list
-    (about a fifth of the pass on bing).
-    """
-    data = cur.data
-    pos = cur.pos
-    head = _REC_HEAD.unpack_from
-    head_size = _REC_HEAD.size
-    u16 = _U16.unpack_from
-    addrs = _ADDRS
-    kinds = _KINDS
-    record = new_record
-    records: List[TraceRecord] = []
-    append = records.append
-    marked: List[Tuple[int, int]] = []
-    i = start = 0
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(count):
-            start = pos
-            tid, pc, kind, fn, syscall, marker_id, n = head(data, pos)
-            pos += head_size
-            if n:
-                regs_read = tuple(data[pos : pos + n])
-                pos += n
-            else:
-                regs_read = ()
-            n = data[pos]
-            pos += 1
-            if n:
-                regs_written = tuple(data[pos : pos + n])
-                pos += n
-            else:
-                regs_written = ()
-            (n,) = u16(data, pos)
-            pos += 2
-            if n:
-                mem_read = addrs[n].unpack_from(data, pos)
-                pos += 8 * n
-            else:
-                mem_read = ()
-            (n,) = u16(data, pos)
-            pos += 2
-            if n:
-                mem_written = addrs[n].unpack_from(data, pos)
-                pos += 8 * n
-            else:
-                mem_written = ()
-            if marker_id >= 0:
-                marked.append((i, marker_id))
-            append(
-                record(
-                    tid, pc, kinds[kind], fn, regs_read, regs_written,
-                    mem_read, mem_written, None if syscall < 0 else syscall,
-                )
-            )
-    except (struct.error, IndexError):
-        raise _bad_record(cur, i, start) from None
-    finally:
-        if collecting:
-            gc.enable()
-    cur.pos = pos
-    return records, marked
-
-
-def _bad_record(cur: _Cursor, index: int, start: int) -> ValueError:
-    """The error for a record :func:`_decode_records` could not read."""
-    data = cur.data
-    if start + _REC_HEAD.size <= len(data):
-        kind = data[start + _KIND_OFFSET]
-        if kind >= len(_KINDS):
-            return ValueError(
-                f"{cur.label}: record {index} at offset {start} has "
-                f"unknown instruction kind {kind}"
-            )
-    return ValueError(
-        f"{cur.label}: truncated trace file (record {index} at offset "
-        f"{start} runs past the end of the {len(data)}-byte file)"
-    )
-
-
-def _patch_markers(
-    records: List[TraceRecord],
-    marked: List[Tuple[int, int]],
-    markers: List[str],
-    label: str,
-) -> None:
-    """Name the marker records :func:`_decode_records` returned unnamed."""
-    for pos, marker_id in marked:
-        if marker_id >= len(markers):
-            raise ValueError(
-                f"{label}: a record names marker {marker_id}, but the "
-                f"marker table holds {len(markers)}"
-            )
-        r = records[pos]
-        records[pos] = new_record(
-            r.tid, r.pc, r.kind, r.fn, r.regs_read, r.regs_written,
-            r.mem_read, r.mem_written, r.syscall, markers[marker_id],
-        )
-
-
-def _skip_record(cur: _Cursor) -> None:
-    """Advance the cursor past one record using only its length fields.
-
-    Walks the same fields in the same order as :func:`_decode_records`, so
-    the two can never disagree about a record's extent.
-    """
-    cur.skip(_REC_HEAD.size - 1)
-    cur.skip(cur.take_int(_U8))
-    cur.skip(cur.take_int(_U8))
-    cur.skip(8 * cur.take_int(_U16))
-    cur.skip(8 * cur.take_int(_U16))
-
-
-def _read_metadata(cur: _Cursor, meta: TraceMetadata) -> None:
-    """Decode the metadata tail (shared with the columnar ``META`` section)."""
-    for _ in range(cur.take_int(_U16)):
-        tid, length = cur.take(_THREAD_NAME)
-        meta.thread_names[tid] = cur.take_str(length)
-    for _ in range(cur.take_int(_U32)):
-        index = cur.take_int(_U64)
-        meta.tile_buffers.append((index, cur.take_addrs()))
-    load_idx = cur.take_int(_I64)
-    meta.load_complete_index = None if load_idx < 0 else load_idx
-    for _ in range(cur.take_int(_U32)):
-        frame_id, begin, end, length = cur.take(_FRAME_SPAN)
-        meta.frames.append(
-            FrameSpan(
-                frame_id=frame_id,
-                kind=cur.take_str(length),
-                begin=begin,
-                end=None if end < 0 else end,
-            )
-        )
-
-
-class _RecordWalker:
-    """Positioned view over a v2 file image: one walker per section.
-
-    The walker owns all knowledge of section order (symbols, records,
-    markers, metadata); :func:`load_trace` and the epoch streamer drive
-    the same instance methods, so a format change cannot desync them.
-    """
-
-    def __init__(self, data: bytes, path: str) -> None:
-        if data.startswith(_HEADER_V3):
-            raise ValueError(
-                f"{path}: UCWA3 columnar trace; use load_any_trace() or "
-                f"repro.trace.columnar.load_columnar()"
-            )
-        if not data.startswith(_HEADER):
-            raise ValueError(f"{path}: not a UCWA trace file")
-        self.path = path
-        self.cur = _Cursor(data, label=str(path), pos=len(_HEADER))
-        self.n_records = 0
-
-    def read_symbols(self) -> SymbolTable:
-        symbols = SymbolTable()
-        cur = self.cur
-        for _ in range(cur.take_int(_U32)):
-            symbols.intern(cur.take_str(cur.take_int(_U16)))
-        self.n_records = cur.take_int(_U64)
-        return symbols
-
-    def skip_records(self) -> None:
-        """Length-only pass over the record section (to reach the markers)."""
-        for _ in range(self.n_records):
-            _skip_record(self.cur)
-
-    def read_markers(self) -> List[str]:
-        cur = self.cur
-        return [cur.take_str(cur.take_int(_U16)) for _ in range(cur.take_int(_U16))]
-
-    def read_metadata(self, meta: TraceMetadata) -> None:
-        _read_metadata(self.cur, meta)
-
-
-def load_trace(path: Union[str, Path]) -> TraceStore:
-    """Load a v2 trace previously written by :func:`save_trace`.
-
-    Malformed input — wrong header, truncated file, a length field that
-    runs past the end, an unknown instruction kind, a marker id outside
-    the marker table — raises ``ValueError`` with the path in the
-    message.  For format-dispatching loads (v3 included) use
-    :func:`load_any_trace`.
-    """
-    data = Path(path).read_bytes()
-    walker = _RecordWalker(data, str(path))
-    symbols = walker.read_symbols()
-    records, marked = _decode_records(walker.cur, walker.n_records)
-    _patch_markers(records, marked, walker.read_markers(), walker.path)
-
-    store = TraceStore(symbols)
-    store.extend(records)
-    walker.read_metadata(store.metadata)
-    return store
-
-
 def load_any_trace(path: Union[str, Path]):
-    """Load a trace of any UCWA format, dispatching on the header.
+    """Load a UCWA3 trace file as a
+    :class:`repro.trace.columnar.ColumnarTrace`.
 
-    Returns a :class:`TraceStore` for v2 files and a
-    :class:`repro.trace.columnar.ColumnarTrace` for v3 files.  Both satisfy
-    the trace API the profiler consumes (``forward()``, ``records()``,
-    ``metadata``, ``symbols``, indexing), so callers can stay
-    format-agnostic.
+    The name predates UCWA3 being the one on-disk format; it stays the
+    loader every CLI and the service call.  numpy is imported only here,
+    on first use, so the row-store paths never pay for it.  Malformed
+    input raises ``ValueError`` naming the file (see
+    :func:`repro.trace.columnar.load_columnar`).
     """
-    with open(path, "rb") as fh:
-        head = fh.read(len(_HEADER_V3))
-    if head == _HEADER_V3:
-        from .columnar import load_columnar
+    from .columnar import load_columnar
 
-        return load_columnar(path)
-    return load_trace(path)
+    return load_columnar(path)

@@ -10,15 +10,9 @@ monolithic record list.  This module owns that partition:
   The tiling is stable under stream growth: appending a new frame only
   appends new regions, so per-region checkpoints stay valid.
 * :class:`EpochStream` yields one :class:`FrameEpoch` per region, in
-  trace order, materializing only that region's records.  Sources:
-
-  - an in-memory ``TraceStore`` or mmap-backed ``ColumnarTrace`` (zero
-    copies beyond the requested span);
-  - a UCWA2 file, decoded region by region from the file image
-    (only the encoded bytes stay resident, never the full record list —
-    records decode to 10-50x their encoded size);
-  - a UCWA3 file, which loads as a columnar trace (mmap-backed columns,
-    bounded memory by construction).
+  trace order, materializing only that region's records.  Its source is
+  an in-memory ``TraceStore`` or a ``ColumnarTrace``; a UCWA3 file loads
+  as the latter (mmap-backed columns, bounded memory by construction).
 
   ``span(lo, hi)`` re-materializes any region on demand, which is what
   lets the incremental engine re-run a checkpointed region after a cache
@@ -38,22 +32,10 @@ from pathlib import Path
 from typing import Iterator, List, Sequence, Tuple, Union
 
 from .records import FrameSpan, TraceMetadata, TraceRecord
-from .store import (
-    TraceStore,
-    _HEADER_V3,
-    _Cursor,
-    _decode_records,
-    _patch_markers,
-    _RecordWalker,
-    _skip_record,
-)
+from .store import TraceStore, load_any_trace
 
 #: ``frame_id`` used by regions that are not frame spans.
 NO_FRAME = -1
-
-#: v2 file streams remember a record byte-offset every this many records,
-#: so ``span()`` seeks near its target instead of re-skipping the prefix.
-OFFSET_STRIDE = 1024
 
 
 @dataclass(frozen=True)
@@ -119,7 +101,7 @@ def region_digest(records: Sequence[TraceRecord]) -> str:
     """Format-invariant sha256 over a region's records.
 
     Hashes the semantic record fields (marker *names*, not table ids), so
-    the digest agrees across UCWA2/UCWA3 containers and in-memory stores.
+    the digest agrees across UCWA3 files and in-memory stores.
     """
     h = hashlib.sha256()
     head = struct.Struct("<IQBIq")
@@ -171,24 +153,37 @@ class FrameEpoch:
 
 
 class EpochStream:
-    """Base streaming reader: regions, epochs, and random region access."""
+    """Streaming reader over a loaded trace: regions, epochs, and random
+    region access.
 
-    def __init__(
-        self, symbols, metadata: TraceMetadata, n_records: int
-    ) -> None:
-        self.symbols = symbols
-        self.metadata = metadata
-        self.n_records = n_records
+    Over a row store or an mmap-backed ``ColumnarTrace``: ``span`` builds
+    only the requested records (a columnar trace's own ``span`` keeps
+    every region it builds; a stream holds only what its session keeps
+    resident).
+    """
+
+    def __init__(self, store) -> None:
+        self.symbols = store.symbols
+        self.metadata: TraceMetadata = store.metadata
+        self.n_records = len(store)
         self.regions: List[Region] = compute_regions(
-            metadata.complete_frames(), n_records
+            self.metadata.complete_frames(), self.n_records
         )
+        self._store = store
 
     def __len__(self) -> int:
         return self.n_records
 
     def span(self, lo: int, hi: int) -> List[TraceRecord]:
-        """Materialize records ``[lo, hi)`` (re-readable at any time)."""
-        raise NotImplementedError
+        """Materialize records ``[lo, hi)`` (re-readable at any time).
+
+        ``0 <= lo <= hi <= len(self)``, or ``ValueError``.
+        """
+        if not 0 <= lo <= hi <= self.n_records:
+            raise ValueError(
+                f"span [{lo}, {hi}) outside trace of {self.n_records} records"
+            )
+        return self._store.materialize(lo, hi)
 
     def tiles_in(self, lo: int, hi: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         """Tile-buffer markers whose record index falls in ``[lo, hi)``."""
@@ -211,83 +206,20 @@ class EpochStream:
             yield self.epoch(region)
 
 
-class _StoreStream(EpochStream):
-    """Stream over an already-loaded trace (row store or columnar)."""
-
-    def __init__(self, store) -> None:
-        super().__init__(store.symbols, store.metadata, len(store))
-        self._store = store
-
-    def span(self, lo: int, hi: int) -> List[TraceRecord]:
-        # A columnar trace's ``span`` keeps every region it builds; a
-        # stream holds only what its session keeps resident.
-        return self._store.materialize(lo, hi)
-
-
-class _FileStreamV2(EpochStream):
-    """Stream over a UCWA2 file image.
-
-    Decodes records region by region; only the encoded file bytes stay
-    resident.  A stride of record byte-offsets (one per
-    :data:`OFFSET_STRIDE` records, collected during the initial
-    length-only skip pass) makes ``span()`` seek-and-decode rather than
-    re-walk the prefix.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        data = Path(path).read_bytes()
-        walker = _RecordWalker(data, str(path))
-        symbols = walker.read_symbols()
-        offsets: List[int] = []
-        cur = walker.cur
-        for i in range(walker.n_records):
-            if i % OFFSET_STRIDE == 0:
-                offsets.append(cur.pos)
-            _skip_record(cur)
-        self._markers = walker.read_markers()
-        metadata = TraceMetadata()
-        walker.read_metadata(metadata)
-        super().__init__(symbols, metadata, walker.n_records)
-        self._data = cur.data  # the file image the offsets index
-        self._label = str(path)
-        self._offsets = offsets
-
-    def span(self, lo: int, hi: int) -> List[TraceRecord]:
-        if not 0 <= lo <= hi <= self.n_records:
-            raise ValueError(
-                f"{self._label}: span [{lo}, {hi}) outside trace of "
-                f"{self.n_records}"
-            )
-        if lo == hi:
-            return []
-        cur = _Cursor(
-            self._data, label=self._label, pos=self._offsets[lo // OFFSET_STRIDE]
-        )
-        for _ in range(lo % OFFSET_STRIDE):
-            _skip_record(cur)
-        records, marked = _decode_records(cur, hi - lo)
-        _patch_markers(records, marked, self._markers, self._label)
-        return records
-
-
 def open_epoch_stream(
     source: Union[str, Path, TraceStore, object],
 ) -> EpochStream:
-    """Open a streaming frame-epoch reader over any UCWA source.
+    """Open a streaming frame-epoch reader over any trace source.
 
-    ``source`` may be a path to a UCWA2/UCWA3 file, or an
-    already-loaded ``TraceStore`` / ``ColumnarTrace``.
+    ``source`` may be a path to a UCWA3 file (loaded with
+    :func:`~repro.trace.store.load_any_trace`: mmap-backed columns, so
+    memory stays bounded), or an already-loaded ``TraceStore`` /
+    ``ColumnarTrace``.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            head = fh.read(len(_HEADER_V3))
-        if head == _HEADER_V3:
-            from .columnar import load_columnar
-
-            return _StoreStream(load_columnar(source))
-        return _FileStreamV2(source)
-    if hasattr(source, "span") and hasattr(source, "metadata"):
-        return _StoreStream(source)
+        return EpochStream(load_any_trace(source))
+    if hasattr(source, "materialize") and hasattr(source, "metadata"):
+        return EpochStream(source)
     raise TypeError(
         f"cannot stream epochs from {type(source).__name__}; expected a "
         f"path, TraceStore, or ColumnarTrace"

@@ -21,7 +21,7 @@ from repro.profiler.criteria import syscall_criteria
 from repro.profiler.slicer import DEFAULT_OPTIONS, SlicerOptions
 from repro.profiler.vectorized import attach_index
 from repro.trace.columnar import ColumnarTrace, save_columnar
-from repro.trace.store import TraceStore, load_any_trace, save_trace
+from repro.trace.store import TraceStore, load_any_trace
 from repro.workloads import benchmark
 from repro.workloads.fuzz import random_frame_trace, random_page, random_sync_trace, random_trace
 
@@ -136,13 +136,12 @@ def trace(name: str) -> TraceStore:
 
 # Sources, queries, option sets.
 
-SOURCES = ("row", "ucwa2", "ucwa3", "ucwa3-index")
+SOURCES = ("row", "ucwa3", "ucwa3-index")
 
 
 def write_sources(store, directory: Path) -> dict:
     """Save ``store`` as every file source; returns source -> path."""
     paths = {s: directory / f"{s}.ucwa" for s in SOURCES[1:]}
-    save_trace(store, paths["ucwa2"])
     cols = ColumnarTrace.from_store(store)
     save_columnar(cols, paths["ucwa3"])
     attach_index(cols)

@@ -33,7 +33,7 @@ GOLDEN = Path(__file__).parent.parent / "harness" / "goldens" / "paper_numbers.j
 # ``tests/profiler/test_incremental_differential.py``.
 
 
-@pytest.mark.parametrize("source", ("row", "ucwa2", "ucwa3"))
+@pytest.mark.parametrize("source", ("row", "ucwa3"))
 @pytest.mark.parametrize("name", ("two-frames-back", "empty-frame"))
 def test_streaming_matches_prefix_reference(name, source, source_paths):
     assert_streaming(name, source, source_paths)
@@ -45,12 +45,15 @@ SERVICE_JOBS = (("pixels+syscalls", None), ("pixels", 2))
 
 
 def test_service_and_fleet_match_reference(service_factory, fleet_factory, source_paths):
-    """A unix daemon (by UCWA2 path, UCWA3 path and ``trace_ref``) and a
-    2-shard TCP fleet return the reference's ``flags_sha256`` under every
-    engine."""
+    """A unix daemon (by the paths of an unindexed and an indexed UCWA3
+    file, and by ``trace_ref``) and a 2-shard TCP fleet return the
+    reference's ``flags_sha256`` under every engine."""
     store, paths = trace("frame-1"), source_paths("frame-1")
     daemon = ServiceClient(service_factory().socket_path)
-    ref = daemon.upload_trace(paths["ucwa3"])["digest"]
+    # trace_ref jobs go to a daemon of their own: a path job over the
+    # same bytes would answer them from its cache.
+    by_ref = ServiceClient(service_factory().socket_path)
+    ref = by_ref.upload_trace(paths["ucwa3"])["digest"]
     fleet = FleetClient(fleet_factory(n_shards=2).config, auth_token="test-fleet-secret")
     cdi = build_index(store.forward())
     for criteria, frame in SERVICE_JOBS:
@@ -61,14 +64,14 @@ def test_service_and_fleet_match_reference(service_factory, fleet_factory, sourc
             if frame is not None:
                 spec["frame"] = frame
             responses = {
-                route: daemon.submit({**spec, **target}, wait=True)
-                for route, target in (
-                    ("ucwa2 path", {"trace_path": str(paths["ucwa2"])}),
-                    ("ucwa3 path", {"trace_path": str(paths["ucwa3-index"])}),
-                    ("trace_ref", {"trace_ref": ref}),
+                route: client.submit({**spec, **target}, wait=True)
+                for route, client, target in (
+                    ("ucwa3 path", daemon, {"trace_path": str(paths["ucwa3"])}),
+                    ("ucwa3-index path", daemon, {"trace_path": str(paths["ucwa3-index"])}),
+                    ("trace_ref", by_ref, {"trace_ref": ref}),
                 )
             }
-            responses["fleet"] = fleet.submit_trace(paths["ucwa2"], wait=True, **spec)
+            responses["fleet"] = fleet.submit_trace(paths["ucwa3"], wait=True, **spec)
             for route, response in responses.items():
                 label = f"{route} {engine} {criteria} frame={frame}"
                 assert response["outcome"] in ("ok", "cache-memory", "cache-disk"), label

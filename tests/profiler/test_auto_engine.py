@@ -29,7 +29,6 @@ NAME = "frame-7"
 #: reasons, checkpoint or not.
 ROUTES = {
     "row-store": ("row", None),
-    "ucwa2-file": ("ucwa2", None),
     "ucwa3-index": ("ucwa3-index", None),
     "ucwa3-no-index": ("ucwa3", None),
     "checkpoint": ("ucwa3-index", "checkpoint"),

@@ -14,9 +14,9 @@ frame 2 on every third seed):
 * the vectorized columnar engine runs the same queries (an independent
   formulation, so a bug would have to be implemented twice to slip
   through);
-* :class:`StreamingSliceSession` over the epoch stream of the row store,
-  a UCWA2 file and a UCWA3 file must answer each frame like a
-  sequential slice of the *stream prefix* (fresh CDI per prefix).
+* :class:`StreamingSliceSession` over the epoch stream of the row store
+  and of a UCWA3 file must answer each frame like a sequential slice of
+  the *stream prefix* (fresh CDI per prefix).
 """
 
 import pytest
@@ -44,7 +44,7 @@ def test_three_engines_agree_per_frame(seed, source_paths, tmp_path):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_streaming_session_matches_prefix_sequential(seed, source_paths):
-    for source in ("row", "ucwa2", "ucwa3"):
+    for source in ("row", "ucwa3"):
         assert_streaming(f"frame-{seed}", source, source_paths)
 
 

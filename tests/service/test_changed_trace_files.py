@@ -3,9 +3,9 @@ new bytes, never from the old ones.
 
 Two paths learn a path job's digest from the file: the fleet client,
 which keeps a per-path memo, and the job itself, which hashes the file
-it slices.  Seeds 2 and 10 of ``random_trace(target_records=1500)`` save
-to files of the same size with different pixel slices, so a rewrite from
-one to the other can keep the size and the mtime.
+it slices.  Seeds 25 and 77 of ``random_trace(target_records=1500)``
+save to UCWA3 files of the same size with different pixel slices, so a
+rewrite from one to the other can keep the size and the mtime.
 """
 
 import hashlib
@@ -19,11 +19,12 @@ from repro.service import jobs
 from repro.service.client import ServiceClient
 from repro.service.fleet.router import FleetClient
 from repro.service.jobs import JobSpec, SpecError, execute_job
-from repro.trace.store import RACY_WINDOW_NS, FileDigestMemo, save_trace
+from repro.trace.columnar import save_ucwa3
+from repro.trace.store import RACY_WINDOW_NS, FileDigestMemo
 from repro.workloads.fuzz import random_trace
 
 TOKEN = "test-fleet-secret"
-OLD_SEED, NEW_SEED = 2, 10
+OLD_SEED, NEW_SEED = 25, 77
 
 
 def _flags_sha256(seed):
@@ -38,7 +39,7 @@ def traces(tmp_path_factory):
     paths = []
     for seed in (OLD_SEED, NEW_SEED):
         path = root / f"seed{seed}.ucwa"
-        save_trace(random_trace(seed=seed, target_records=1500), path)
+        save_ucwa3(random_trace(seed=seed, target_records=1500), path, with_index=False)
         paths.append(path)
     assert os.path.getsize(paths[0]) == os.path.getsize(paths[1])
     assert _flags_sha256(OLD_SEED) != _flags_sha256(NEW_SEED)

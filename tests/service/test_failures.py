@@ -12,7 +12,8 @@ import pytest
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobSpec
-from repro.trace.store import file_digest, save_trace
+from repro.trace.columnar import save_ucwa3
+from repro.trace.store import file_digest, serialize_trace
 from repro.workloads.fuzz import random_trace
 
 
@@ -96,7 +97,7 @@ def test_editing_the_trace_file_invalidates_its_cache_entries(
     different key, so a stale result can never be served."""
     _, client = service
     path = tmp_path / "mutable.ucwa"
-    save_trace(random_trace(seed=31, target_records=3_000), path)
+    save_ucwa3(random_trace(seed=31, target_records=3_000), path, with_index=False)
     spec = JobSpec(trace_path=str(path))
 
     first = client.submit(spec, wait=True)
@@ -104,12 +105,41 @@ def test_editing_the_trace_file_invalidates_its_cache_entries(
     assert client.submit(spec, wait=True)["outcome"] == "cache-memory"
 
     old_digest = file_digest(path)
-    save_trace(random_trace(seed=32, target_records=3_000), path)
+    save_ucwa3(random_trace(seed=32, target_records=3_000), path, with_index=False)
     assert file_digest(path) != old_digest
 
     fresh = client.submit(spec, wait=True)
     assert fresh["outcome"] == "ok"  # a slice ran — no stale hit
     assert fresh["result"]["trace_digest"] != first["result"]["trace_digest"]
+
+
+@pytest.mark.parametrize("kind", ("ucwa2", "truncated-ucwa3"))
+def test_a_file_that_is_not_a_readable_trace_fails_the_job(service, tmp_path, kind):
+    """A path or ``trace_ref`` job over bytes the loader refuses fails as
+    ``job-failed`` with the loader's message, not as an internal error.
+    A UCWA2 file (the retired format, whose layout is the digest image)
+    is refused on upload already."""
+    _, client = service
+    store = random_trace(seed=33, target_records=1_000)
+    path = tmp_path / f"{kind}.ucwa"
+    if kind == "ucwa2":
+        path.write_bytes(serialize_trace(store))
+    else:
+        save_ucwa3(store, path, with_index=False)
+        path.write_bytes(path.read_bytes()[:-64])
+    by_path = client.submit(JobSpec(trace_path=str(path)), wait=True)
+    assert by_path["outcome"] != "ok"
+    assert by_path["error"]["code"] == "job-failed"
+    assert str(path) in by_path["error"]["message"]
+    if kind == "ucwa2":
+        with pytest.raises(ServiceError) as err:
+            client.upload_trace(path)
+        assert err.value.code == "bad-upload"
+        return
+    ref = client.upload_trace(path)["digest"]
+    by_ref = client.submit({"trace_ref": ref}, wait=True)
+    assert by_ref["error"]["code"] == "job-failed"
+    assert f"{ref}.ucwa" in by_ref["error"]["message"]
 
 
 def test_full_queue_rejects_with_busy(service_factory, fuzz_trace_path):

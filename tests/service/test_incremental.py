@@ -10,7 +10,7 @@ answer stays byte-identical to the sequential engine's.
 import pytest
 
 from repro.service.jobs import JobSpec, execute_job
-from repro.trace.store import save_trace
+from repro.trace.columnar import save_ucwa3
 from repro.workloads.fuzz import random_frame_trace
 
 
@@ -18,7 +18,7 @@ from repro.workloads.fuzz import random_frame_trace
 def frame_trace_path(tmp_path_factory):
     store = random_frame_trace(seed=5)
     path = tmp_path_factory.mktemp("svc-frames") / "frames.ucwa"
-    save_trace(store, path)
+    save_ucwa3(store, path, with_index=False)
     return path
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.profiler.api import run_slice_job
 from repro.service.jobs import FAULTS, JobSpec, SpecError, execute_job
-from repro.trace.store import file_digest, save_trace, trace_digest
+from repro.trace.columnar import save_ucwa3
+from repro.trace.store import file_digest, trace_digest
 from repro.workloads.fuzz import random_trace
 
 
@@ -14,7 +15,7 @@ from repro.workloads.fuzz import random_trace
 def small_trace(tmp_path_factory):
     store = random_trace(seed=7, target_records=1_500)
     path = tmp_path_factory.mktemp("svc-jobs") / "small.ucwa"
-    save_trace(store, path)
+    save_ucwa3(store, path, with_index=False)
     return store, path
 
 

@@ -10,7 +10,8 @@ from repro.service.cache import payload_seal
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobSpec
 from repro.service.server import ProfilingServer
-from repro.trace.store import load_trace, save_trace
+from repro.trace.columnar import save_ucwa3
+from repro.trace.store import load_any_trace
 from repro.workloads.fuzz import random_trace
 
 
@@ -27,7 +28,7 @@ def test_cold_submit_matches_in_process_run(service, fuzz_trace_path):
     assert response["state"] == "done"
     assert response["coalesced"] is False
 
-    result, stats = run_slice_job(load_trace(fuzz_trace_path), criteria="pixels")
+    result, stats = run_slice_job(load_any_trace(fuzz_trace_path), criteria="pixels")
     payload = response["result"]
     assert payload["fraction"] == stats.fraction
     assert payload["total"] == stats.total
@@ -135,7 +136,7 @@ def test_concurrent_identical_submits_coalesce_to_one_job(service, tmp_path):
     server, client = service
     # Big enough that the job is still running when the followers submit.
     path = tmp_path / "big.ucwa"
-    save_trace(random_trace(seed=23, target_records=60_000), path)
+    save_ucwa3(random_trace(seed=23, target_records=60_000), path, with_index=False)
     spec = JobSpec(trace_path=str(path))
 
     leader = client.submit(spec, wait=False)

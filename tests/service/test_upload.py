@@ -51,7 +51,7 @@ def test_session_round_trip_registers_content_addressed(tmp_path, fuzz_trace_pat
 def test_session_digest_mismatch_removes_spool(tmp_path):
     store = UploadStore(tmp_path / "uploads")
     session = store.session()
-    session.append(b"UCWA2\nsome bytes")
+    session.append(b"UCWA3\nsome bytes")
     with pytest.raises(UploadError) as err:
         session.finish("0" * 64)
     assert err.value.code == "digest-mismatch"
@@ -60,8 +60,13 @@ def test_session_digest_mismatch_removes_spool(tmp_path):
 
 def test_session_rejects_non_trace_bytes(tmp_path):
     store = UploadStore(tmp_path / "uploads")
-    # UCWA1 is no longer read, so its header is not a trace header either.
-    for payload in (b"#!/bin/sh\necho not a trace\n", b"UCWA1\n" + bytes(64)):
+    # UCWA1 and UCWA2 are no longer read, so their headers are not trace
+    # headers either.
+    for payload in (
+        b"#!/bin/sh\necho not a trace\n",
+        b"UCWA1\n" + bytes(64),
+        b"UCWA2\n" + bytes(64),
+    ):
         session = store.session()
         session.append(payload)
         with pytest.raises(UploadError) as err:
@@ -145,7 +150,7 @@ def test_digest_mismatch_on_trace_end(service_factory):
             sock,
             {
                 "op": "trace-chunk",
-                "data": base64.b64encode(b"UCWA2\npayload").decode(),
+                "data": base64.b64encode(b"UCWA3\npayload").decode(),
             },
         )
         send_message(sock, {"op": "trace-end", "digest": "0" * 64})
@@ -167,7 +172,7 @@ def test_truncated_upload_cleans_up_and_server_stays_healthy(
     assert recv_message(sock)["ok"]
     send_message(
         sock,
-        {"op": "trace-chunk", "data": base64.b64encode(b"UCWA2\nhalf a tr").decode()},
+        {"op": "trace-chunk", "data": base64.b64encode(b"UCWA3\nhalf a tr").decode()},
     )
     # Vanish mid-upload: no trace-end, just a dead socket.
     sock.close()
@@ -282,18 +287,18 @@ def test_stream_requires_incremental_engine(service_factory, frame_trace_path):
 def test_upload_memory_stays_bounded(service_factory, tmp_path):
     """Peak heap during an upload must be O(chunk), not O(trace).
 
-    A ~6 MiB synthetic trace streamed in 64 KiB chunks: if either side
+    A ~1 MiB synthetic trace streamed in 64 KiB chunks: if either side
     buffered the full image the allocation delta would exceed the file
     size; the budget asserts it stays far below it.
     """
     import tracemalloc
 
-    from repro.trace.store import save_trace
+    from repro.trace.columnar import save_ucwa3
     from repro.workloads.fuzz import random_trace
 
     store = random_trace(seed=3, target_records=60_000)
     big = tmp_path / "big.ucwa"
-    save_trace(store, big)
+    save_ucwa3(store, big, with_index=False)
     size = big.stat().st_size
     assert size > 1024 * 1024  # the test is vacuous on a tiny file
 

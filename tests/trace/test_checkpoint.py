@@ -15,7 +15,7 @@ from repro.trace.checkpoint import (
     sidecar_path,
 )
 from repro.trace.lint import lint_trace
-from repro.trace.store import save_trace
+from repro.trace.columnar import save_ucwa3
 from repro.trace.__main__ import main as trace_main
 from repro.workloads.fuzz import random_frame_trace
 
@@ -216,7 +216,7 @@ def test_lint_prefix_checkpoint_accepted(store):
 @pytest.fixture(scope="module")
 def trace_on_disk(store, tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "t.ucwa"
-    save_trace(store, path)
+    save_ucwa3(store, path, with_index=False)
     return path
 
 

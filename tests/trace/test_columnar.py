@@ -3,8 +3,8 @@
 The locked-down invariants:
 
 * **round trip** — for every paper workload and a broad fuzz corpus,
-  v2 -> v3 -> v2 is byte-identical (``serialize_trace`` over the loaded
-  columnar trace reproduces the exact UCWA2 image);
+  a row store written as UCWA3 and loaded back has the store's records
+  and its exact digest image (``serialize_trace``);
 * **digest invariance** — ``trace_digest`` is format-stable: the same
   logical trace hashes identically whether held as a row store or a
   (possibly index-carrying) columnar trace, so service cache keys never
@@ -27,13 +27,12 @@ from repro.trace.columnar import (
     load_columnar,
     parse_columnar,
     save_columnar,
+    save_ucwa3,
     serialize_columnar,
 )
 from repro.trace.lint import lint_or_raise
 from repro.trace.store import (
     load_any_trace,
-    load_trace,
-    save_trace,
     serialize_trace,
     trace_digest,
 )
@@ -50,7 +49,7 @@ def _workload_store(name):
 
 
 def _assert_round_trip(store, tmp_path, label):
-    v2_image = serialize_trace(store)
+    image = serialize_trace(store)
     digest = trace_digest(store)
 
     cols = ColumnarTrace.from_store(store)
@@ -62,8 +61,8 @@ def _assert_round_trip(store, tmp_path, label):
     save_columnar(cols, path)
     loaded = load_columnar(path)
     assert len(loaded) == len(store)
-    assert serialize_trace(loaded) == v2_image, (
-        f"v2->v3->v2 not byte-identical for {label}"
+    assert serialize_trace(loaded) == image, (
+        f"row store -> UCWA3 -> digest image not byte-identical for {label}"
     )
     assert trace_digest(loaded) == digest, label
     return loaded
@@ -123,8 +122,8 @@ def test_lint_passes_on_converted_trace(name, tmp_path):
     store = _workload_store(name)
     src = tmp_path / "src.ucwa"
     dst = tmp_path / "dst.ucwa"
-    save_trace(store, src)
-    convert_trace(src, dst, fmt="v3")
+    save_ucwa3(store, src, with_index=False)
+    convert_trace(src, dst)
     report_orig = lint_or_raise(store)
     report_conv = lint_or_raise(load_columnar(dst))
     assert report_conv.counts == report_orig.counts
@@ -133,32 +132,18 @@ def test_lint_passes_on_converted_trace(name, tmp_path):
     ]
 
 
-def test_convert_back_to_v2_is_byte_identical(tmp_path):
-    store = random_trace(77, target_records=2_000)
-    src = tmp_path / "src.ucwa"
-    v3 = tmp_path / "mid.ucwa"
-    back = tmp_path / "back.ucwa"
-    save_trace(store, src)
-    convert_trace(src, v3, fmt="v3")
-    convert_trace(v3, back, fmt="v2")
-    assert back.read_bytes() == src.read_bytes()
-    with pytest.raises(ValueError, match="v9"):
-        convert_trace(src, back, fmt="v9")
-
-
 def test_load_any_trace_dispatches_on_header(tmp_path):
+    """UCWA3 is the one format read: a UCWA2 file (whose layout is the
+    digest image) is refused with its path named."""
     store = random_trace(5, target_records=1_000)
     v2 = tmp_path / "a.ucwa"
     v3 = tmp_path / "b.ucwa"
-    save_trace(store, v2)
+    v2.write_bytes(serialize_trace(store))
     save_columnar(ColumnarTrace.from_store(store), v3)
     assert isinstance(load_any_trace(v3), ColumnarTrace)
-    assert serialize_trace(load_any_trace(v3)) == serialize_trace(
+    assert serialize_trace(load_any_trace(v3)) == v2.read_bytes()
+    with pytest.raises(ValueError, match="a.ucwa: not a UCWA3 trace file"):
         load_any_trace(v2)
-    )
-    # The row-store loader refuses v3 with a pointer to the right entry.
-    with pytest.raises(ValueError, match="load_any_trace"):
-        load_trace(v3)
 
 
 def test_from_store_keeps_a_copy_of_the_rows():
@@ -265,6 +250,15 @@ def test_rejects_bad_array_width_code(valid_v3, tmp_path):
     else:
         pytest.fail("no CORE section in fixture file")
     _expect_value_error(tmp_path, data, "width.ucwa")
+
+
+def test_rejects_a_name_that_is_not_utf8(valid_v3, tmp_path):
+    _, data = valid_v3
+    table_at = len(b"UCWA3\n") + 4
+    tag, offset, length = struct.unpack_from("<4sQQ", data, table_at)
+    assert tag == b"SYMS"
+    data[offset + 4 + 2] = 0xFF  # first byte of the first symbol name
+    _expect_value_error(tmp_path, data, "utf8.ucwa")
 
 
 def test_rejects_missing_required_section(valid_v3, tmp_path):

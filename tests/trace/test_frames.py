@@ -12,7 +12,8 @@ from repro.trace.records import (
     InstrKind,
     TraceRecord,
 )
-from repro.trace.store import load_trace, save_trace
+from repro.trace.columnar import save_ucwa3
+from repro.trace.store import load_any_trace
 
 
 def _frame_trace():
@@ -46,8 +47,8 @@ def test_frame_spans_recorded():
 def test_frame_round_trip(tmp_path):
     store = _frame_trace()
     path = tmp_path / "frames.ucwa"
-    save_trace(store, path)
-    loaded = load_trace(path)
+    save_ucwa3(store, path, with_index=False)
+    loaded = load_any_trace(path)
     assert list(loaded.records()) == list(store.records())
     assert [
         (s.frame_id, s.kind, s.begin, s.end) for s in loaded.frame_spans()
@@ -60,8 +61,8 @@ def test_incomplete_frame_round_trips_as_incomplete(tmp_path):
     tracer.frame_begin(0, "load")
     tracer.op("work", writes=(0x10,))
     path = tmp_path / "open.ucwa"
-    save_trace(tracer.store, path)
-    loaded = load_trace(path)
+    save_ucwa3(tracer.store, path, with_index=False)
+    loaded = load_any_trace(path)
     assert loaded.frame_spans() == []  # only complete spans qualify
     spans = loaded.metadata.frames
     assert len(spans) == 1 and not spans[0].complete

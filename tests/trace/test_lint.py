@@ -8,7 +8,7 @@ from repro.machine.registers import FLAGS, RBX
 from repro.machine.tracer import TILE_MARKER, Tracer
 from repro.trace.lint import TraceLintError, lint_or_raise, lint_trace
 from repro.trace.records import InstrKind, TraceRecord
-from repro.trace.store import save_trace
+from repro.trace.columnar import save_ucwa3
 from repro.workloads.fuzz import random_trace
 
 
@@ -249,7 +249,7 @@ def test_cli_lint_json_output(tmp_path, capsys):
     from repro.trace.__main__ import main as trace_main
 
     path = tmp_path / "clean.ucwa"
-    save_trace(random_trace(13, target_records=800), path)
+    save_ucwa3(random_trace(13, target_records=800), path, with_index=False)
     assert trace_main(["lint", str(path), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is True
@@ -270,7 +270,7 @@ def test_cli_lint_json_reports_findings_and_fails(tmp_path, capsys):
     tracer.op("init", writes=(0x10,))
     tracer.lock_acquire(0x900)  # never released
     path = tmp_path / "held.ucwa"
-    save_trace(tracer.store, path)
+    save_ucwa3(tracer.store, path, with_index=False)
     assert trace_main(["lint", str(path), "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is False
@@ -283,7 +283,7 @@ def test_cli_lint_passes_on_clean_trace(tmp_path, capsys):
     from repro.trace.__main__ import main as trace_main
 
     path = tmp_path / "clean.ucwa"
-    save_trace(random_trace(11, target_records=800), path)
+    save_ucwa3(random_trace(11, target_records=800), path, with_index=False)
     assert trace_main(["lint", str(path)]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
@@ -303,7 +303,7 @@ def test_cli_lint_fails_on_corrupted_trace(tmp_path, capsys):
         for i, cells in store.metadata.tile_buffers
     ]
     path = tmp_path / "corrupt.ucwa"
-    save_trace(store, path)
+    save_ucwa3(store, path, with_index=False)
     assert trace_main(["lint", str(path)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -314,6 +314,6 @@ def test_cli_lint_rejects_bad_options(tmp_path, capsys):
     from repro.trace.__main__ import main as trace_main
 
     path = tmp_path / "t.ucwa"
-    save_trace(_clean_store(), path)
+    save_ucwa3(_clean_store(), path, with_index=False)
     assert trace_main(["lint", str(path), "--epoch-size=4096"]) == 2
     assert trace_main(["lint", str(path), "--bogus"]) == 2

@@ -1,11 +1,10 @@
 """Records from every bulk producer are ordinary frozen ``TraceRecord``s.
 
-The tracer, the UCWA2 decoder and the UCWA3 materializer build records
-through ``new_record`` (an unfrozen twin retyped to ``TraceRecord``), not
-through ``TraceRecord.__init__``.  Each record they return must be
-indistinguishable from a keyword-built one: the same type, frozen,
-equal and hash-equal, and unchanged by ``pickle`` and
-``dataclasses.replace``.
+The tracer and the UCWA3 materializer build records through
+``new_record`` (an unfrozen twin retyped to ``TraceRecord``), not through
+``TraceRecord.__init__``.  Each record they return must be
+indistinguishable from a keyword-built one: the same type, frozen, equal
+and hash-equal, and unchanged by ``pickle`` and ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import pytest
 from repro.harness.experiments import run_engine
 from repro.trace.columnar import ColumnarTrace, parse_columnar, serialize_columnar
 from repro.trace.records import InstrKind, TraceRecord, new_record
-from repro.trace.store import load_trace, save_trace
 from repro.workloads import benchmark
 from repro.workloads.fuzz import random_trace
 
@@ -35,16 +33,13 @@ def _store(source):
     return random_trace(seed=int(source[len("random_trace("):-1]))
 
 
-def _producers(store, tmp_path):
+def _producers(store):
     """(producer name, its records) for one traced store."""
-    path = tmp_path / "t.ucwa"
-    save_trace(store, path)
     columns = ColumnarTrace.from_store(store)
     parsed = parse_columnar(serialize_columnar(columns))
     n = len(store)
     return [
         ("tracer", store.records()),
-        ("ucwa2-decoder", load_trace(path).records()),
         ("columnar-materialize", columns.materialize(0, n)),
         ("ucwa3-materialize", parsed.materialize(0, n)),
         ("columnar-index", [parsed[i] for i in range(0, n, 7)]),
@@ -67,10 +62,10 @@ def _assert_ordinary(record):
 
 
 @pytest.mark.parametrize("source", SOURCES)
-def test_every_producer_builds_ordinary_records(source, tmp_path):
+def test_every_producer_builds_ordinary_records(source):
     store = _store(source)
     expected = store.records()
-    for name, records in _producers(store, tmp_path):
+    for name, records in _producers(store):
         assert records, name
         for record in records:
             _assert_ordinary(record)

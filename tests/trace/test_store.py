@@ -1,4 +1,4 @@
-"""Unit tests for trace storage and the binary round trip."""
+"""Unit tests for trace storage and the UCWA3 file round trip."""
 
 import functools
 import struct
@@ -11,11 +11,15 @@ from repro.trace import (
     InstrKind,
     SymbolTable,
     TraceRecord,
-    TraceStore,
-    load_trace,
-    save_trace,
+    load_any_trace,
 )
-from repro.trace.store import _RecordWalker, serialize_trace
+from repro.trace.columnar import (
+    ColumnarTrace,
+    parse_columnar,
+    save_ucwa3,
+    serialize_columnar,
+)
+from repro.trace.store import serialize_trace
 from repro.trace.stream import open_epoch_stream
 from repro.workloads import TABLE2_BENCHMARKS, benchmark
 from repro.workloads.fuzz import random_frame_trace, random_sync_trace, random_trace
@@ -75,30 +79,21 @@ ROUND_TRIP_TRACES = {
 def test_round_trip_preserves_records(name, tmp_path):
     store = ROUND_TRIP_TRACES[name]()
     path = tmp_path / "trace.ucwa"
-    save_trace(store, path)
-    loaded = load_trace(path)
+    save_ucwa3(store, path, with_index=False)
+    loaded = load_any_trace(path)
     assert len(loaded) == len(store)
-    for orig, back in zip(store.forward(), loaded.forward()):
-        assert orig.tid == back.tid
-        assert orig.pc == back.pc
-        assert orig.kind == back.kind
-        assert type(back.kind) is InstrKind
-        assert orig.fn == back.fn
-        assert orig.regs_read == tuple(back.regs_read)
-        assert orig.regs_written == tuple(back.regs_written)
-        assert tuple(orig.mem_read) == tuple(back.mem_read)
-        assert tuple(orig.mem_written) == tuple(back.mem_written)
-        assert orig.syscall == back.syscall
-        assert orig.marker == back.marker
+    back = loaded.materialize(0, len(loaded))
+    assert back == store.records()
+    assert all(type(r.kind) is InstrKind for r in back)
     assert loaded.metadata.frames == store.metadata.frames
-    assert serialize_trace(loaded) == path.read_bytes()
+    assert serialize_trace(loaded) == serialize_trace(store)
 
 
 def test_round_trip_preserves_symbols_and_metadata(tmp_path):
     store = small_trace()
     path = tmp_path / "trace.ucwa"
-    save_trace(store, path)
-    loaded = load_trace(path)
+    save_ucwa3(store, path)
+    loaded = load_any_trace(path)
     orig_names = [name for _, name in store.symbols]
     back_names = [name for _, name in loaded.symbols]
     assert orig_names == back_names
@@ -111,12 +106,17 @@ def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ucwa"
     path.write_bytes(b"not a trace at all")
     with pytest.raises(ValueError):
-        load_trace(path)
+        load_any_trace(path)
 
 
 # --------------------------------------------------------------------- #
-# The UCWA2 decoder's error contract                                    #
+# The UCWA3 readers' error contract                                     #
 # --------------------------------------------------------------------- #
+
+
+def _load_everything(path):
+    trace = load_any_trace(path)
+    return trace.materialize(0, len(trace))
 
 
 def _stream_everything(path):
@@ -124,9 +124,9 @@ def _stream_everything(path):
     return stream.span(0, len(stream))
 
 
-#: every reader of a UCWA2 file image, each driven to completion
+#: every reader of a UCWA3 file, each driven to a full record read
 READERS = {
-    "load_trace": load_trace,
+    "load_any_trace": _load_everything,
     "open_epoch_stream": _stream_everything,
 }
 
@@ -137,63 +137,68 @@ def _expect_error_naming_file(path, reader_name):
     assert path.name in str(err.value), f"{reader_name}: {err.value}"
 
 
-def _section_offsets(store):
-    """The canonical image of ``store`` and where each section starts."""
-    image = serialize_trace(store)
-    walker = _RecordWalker(image, "<image>")
-    offsets = {"header": 0, "symbols": walker.cur.pos}
-    walker.read_symbols()
-    offsets["records"] = walker.cur.pos
-    walker.skip_records()
-    offsets["markers"] = walker.cur.pos
-    walker.read_markers()
-    offsets["metadata"] = walker.cur.pos
-    return image, offsets
+def _image(store):
+    """The UCWA3 image of ``store`` (no index) and its section table."""
+    image = serialize_columnar(ColumnarTrace.from_store(store))
+    (count,) = struct.unpack_from("<I", image, len(b"UCWA3\n"))
+    sections = {}
+    for k in range(count):
+        tag, offset, length = struct.unpack_from("<4sQQ", image, 10 + 20 * k)
+        sections[tag.decode("ascii")] = (offset, length)
+    return image, sections
+
+
+def _core_array_at(image, sections, column):
+    """Offset and width of CORE array ``column`` (0 tid … 5 marker id + 1)."""
+    pos = sections["CORE"][0] + 8  # after the u64 record count
+    for _ in range(column):
+        width, count = struct.unpack_from("<BQ", image, pos)
+        pos += 9 + width * count
+    width, _ = struct.unpack_from("<BQ", image, pos)
+    return pos + 9, width
 
 
 @pytest.mark.parametrize("reader_name", list(READERS))
 def test_every_truncation_raises_value_error_naming_the_file(tmp_path, reader_name):
-    """Cut the file at every byte: header, symbols, each field of every
-    record, the marker table and the metadata.  Every reader raises a
-    ValueError naming the file — never struct.error or IndexError, and
-    never a short store."""
+    """Cut the file at every byte: header, section table and every
+    section.  Every reader raises a ValueError naming the file — never
+    struct.error or IndexError, and never a short trace."""
     store = small_trace()
     records = store.records()
     # Every optional field is set somewhere, so the sweep cuts inside
-    # each of them.
+    # each of its columns.
     for field in ("regs_read", "regs_written", "mem_read", "mem_written", "marker"):
         assert any(getattr(r, field) for r in records), field
     assert any(r.syscall is not None for r in records)
-    image, sections = _section_offsets(store)
+    image, sections = _image(store)
     full = tmp_path / "full.ucwa"
     full.write_bytes(image)
-    assert len(load_trace(full)) == len(store)
-    offsets = list(sections.values())
-    assert offsets == sorted(set(offsets)) and offsets[-1] < len(image)
+    assert READERS[reader_name](full) == records
+    offsets = sorted(offset for offset, _ in sections.values())
+    assert len(offsets) == 8 and offsets[-1] < len(image)
     for cut in range(len(image)):
         path = tmp_path / f"cut{cut}.ucwa"
         path.write_bytes(image[:cut])
         _expect_error_naming_file(path, reader_name)
 
 
-def test_decoding_leaves_the_collector_as_it_found_it(tmp_path):
-    """The decoder pauses the cyclic collector; it must always restore it."""
+def test_decoding_leaves_the_collector_as_it_found_it():
+    """``materialize`` pauses the cyclic collector; it must always
+    restore it."""
     import gc
 
-    image, sections = _section_offsets(small_trace())
-    good = tmp_path / "good.ucwa"
-    good.write_bytes(image)
-    cut = tmp_path / "cut.ucwa"
-    cut.write_bytes(image[: sections["records"] + 10])
+    good = parse_columnar(_image(small_trace())[0])
+    bad = parse_columnar(_image(small_trace())[0])
+    bad.markers = []  # marker ids now point past the table
     assert gc.isenabled()
-    load_trace(good)
+    good.materialize(0, len(good))
     assert gc.isenabled()
-    with pytest.raises(ValueError):
-        load_trace(cut)
+    with pytest.raises(IndexError):
+        bad.materialize(0, len(bad))
     assert gc.isenabled()
     gc.disable()
     try:
-        load_trace(good)
+        good.materialize(0, len(good))
         assert not gc.isenabled()
     finally:
         gc.enable()
@@ -201,10 +206,11 @@ def test_decoding_leaves_the_collector_as_it_found_it(tmp_path):
 
 @pytest.mark.parametrize("reader_name", list(READERS))
 def test_unknown_kind_raises_value_error_naming_the_file(tmp_path, reader_name):
-    store = small_trace()
-    image, sections = _section_offsets(store)
+    image, sections = _image(small_trace())
     bad = bytearray(image)
-    bad[sections["records"] + 12] = 200  # first record's kind byte
+    at, width = _core_array_at(image, sections, 2)
+    assert width == 1
+    bad[at + 3] = 200  # the fourth record's kind
     path = tmp_path / "badkind.ucwa"
     path.write_bytes(bytes(bad))
     _expect_error_naming_file(path, reader_name)
@@ -213,10 +219,20 @@ def test_unknown_kind_raises_value_error_naming_the_file(tmp_path, reader_name):
 @pytest.mark.parametrize("reader_name", list(READERS))
 def test_ucwa1_header_raises_value_error_naming_the_file(tmp_path, reader_name):
     """UCWA1 is no longer read: it fails like any unknown header."""
-    image, _ = _section_offsets(small_trace())
-    assert image.startswith(b"UCWA2\n")
+    image, _ = _image(small_trace())
     path = tmp_path / "v1.ucwa"
-    path.write_bytes(b"UCWA1\n" + image[len(b"UCWA2\n"):])
+    path.write_bytes(b"UCWA1\n" + image[len(b"UCWA3\n"):])
+    _expect_error_naming_file(path, reader_name)
+
+
+@pytest.mark.parametrize("reader_name", list(READERS))
+def test_ucwa2_file_raises_value_error_naming_the_file(tmp_path, reader_name):
+    """UCWA2 is no longer read either.  Its layout survives only as the
+    digest image, which is exactly what a UCWA2 file held."""
+    image = serialize_trace(small_trace())
+    assert image.startswith(b"UCWA2\n")
+    path = tmp_path / "v2.ucwa"
+    path.write_bytes(image)
     _expect_error_naming_file(path, reader_name)
 
 
@@ -225,11 +241,12 @@ def test_marker_id_past_table_raises_value_error_naming_the_file(
     tmp_path, reader_name
 ):
     store = small_trace()
-    image, sections = _section_offsets(store)
+    image, sections = _image(store)
     bad = bytearray(image)
-    # First record's marker id field (after tid u32, pc u64, kind u8,
-    # fn u32, syscall i16) points past the marker table.
-    struct.pack_into("<h", bad, sections["records"] + 19, 500)
+    at, width = _core_array_at(image, sections, 5)
+    assert width == 1
+    n_markers = len({r.marker for r in store.records()} - {None})
+    bad[at] = n_markers + 1  # the first record names marker id n_markers
     path = tmp_path / "badmarker.ucwa"
     path.write_bytes(bytes(bad))
     _expect_error_naming_file(path, reader_name)

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.trace.records import FrameSpan
-from repro.trace.store import TraceStore, save_trace
+from repro.trace.columnar import save_ucwa3
 from repro.trace.stream import (
     NO_FRAME,
-    OFFSET_STRIDE,
     compute_regions,
     open_epoch_stream,
     region_digest,
@@ -91,16 +90,12 @@ def test_incomplete_trailing_frame_lands_in_gap():
 
 
 def _stream_variants(store, tmp_path):
-    from repro.trace.columnar import ColumnarTrace, save_columnar
-
-    v2 = tmp_path / "t.ucwa"
-    v3 = tmp_path / "t3.ucwa"
-    save_trace(store, v2)
-    save_columnar(ColumnarTrace.from_store(store), v3)
+    path = tmp_path / "t.ucwa"
+    save_ucwa3(store, path, with_index=False)
     return {
         "store": open_epoch_stream(store),
-        "file-v2": open_epoch_stream(v2),
-        "file-v3": open_epoch_stream(str(v3)),
+        "file": open_epoch_stream(path),
+        "file-str": open_epoch_stream(str(path)),
     }
 
 
@@ -129,23 +124,14 @@ def test_epochs_cover_trace_with_tiles(frame_store, tmp_path):
 
 
 def test_span_bounds_checked(frame_store, tmp_path):
-    stream = open_epoch_stream(
-        (lambda p: (save_trace(frame_store, p), p)[1])(tmp_path / "b.ucwa")
-    )
-    with pytest.raises(ValueError, match="span"):
-        stream.span(0, len(stream) + 1)
-
-
-def test_empty_span_at_a_stride_boundary(tmp_path):
-    source = random_trace(3, target_records=OFFSET_STRIDE + 200)
-    store = TraceStore(source.symbols)
-    store.extend(source.records()[:OFFSET_STRIDE])
-    path = tmp_path / "stride.ucwa"
-    save_trace(store, path)
-    stream = open_epoch_stream(path)
-    assert len(stream) % OFFSET_STRIDE == 0
-    assert stream.span(len(stream), len(stream)) == []
-    assert stream.span(0, len(stream)) == store.records()
+    """Every source refuses a span outside ``[0, n]`` or running
+    backwards, and serves an empty one at either end."""
+    for name, stream in _stream_variants(frame_store, tmp_path).items():
+        n = len(stream)
+        for lo, hi in ((0, n + 1), (n + 5, n + 9), (10, 5), (-1, 3)):
+            with pytest.raises(ValueError, match="span"):
+                stream.span(lo, hi)
+        assert stream.span(0, 0) == stream.span(n, n) == [], name
 
 
 def test_open_epoch_stream_rejects_junk():

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from repro.profiler import Profiler, pixel_criteria
-from repro.trace import load_trace, save_trace
+from repro.trace import load_any_trace
 from repro.trace.__main__ import main as trace_main
+from repro.trace.columnar import ColumnarTrace, save_columnar, save_ucwa3
+from repro.trace.store import serialize_trace
 from repro.harness.experiments import run_engine
 from repro.workloads import benchmark
 
@@ -19,13 +21,13 @@ def saved_trace(tmp_path_factory):
     bench.config.load_animation_ticks = 4
     engine = run_engine(bench)
     path = tmp_path_factory.mktemp("traces") / "wiki.ucwa"
-    save_trace(engine.trace_store(), path)
+    save_ucwa3(engine.trace_store(), path, with_index=False)
     return engine, path
 
 
 def test_real_trace_round_trip(saved_trace):
     engine, path = saved_trace
-    loaded = load_trace(path)
+    loaded = load_any_trace(path)
     store = engine.trace_store()
     assert len(loaded) == len(store)
     assert loaded.metadata.thread_names == store.metadata.thread_names
@@ -35,7 +37,7 @@ def test_real_trace_round_trip(saved_trace):
 def test_slice_identical_from_disk(saved_trace):
     """Collect once, profile many: the stored trace slices identically."""
     engine, path = saved_trace
-    loaded = load_trace(path)
+    loaded = load_any_trace(path)
     original = Profiler(engine.trace_store()).pixel_slice()
     replayed = Profiler(loaded).pixel_slice()
     assert bytes(original.flags) == bytes(replayed.flags)
@@ -138,7 +140,6 @@ def test_collect_then_slice_reproduces_the_table2_golden(tmp_path, capsys):
     """collect runs the harness recipe, so a stored trace slices to the
     paper numbers exactly, with the engine that ran named."""
     from repro.profiler.api import run_slice_job
-    from repro.trace.store import load_any_trace
 
     golden = json.loads(GOLDEN.read_text("utf-8"))["table2"]["amazon_mobile"]
     path = tmp_path / "amazon_mobile.ucwa"
@@ -160,41 +161,70 @@ def test_collect_then_slice_reproduces_the_table2_golden(tmp_path, capsys):
 def test_cli_slice_auto_runs_vectorized_on_an_indexed_v3_file(
     saved_trace, tmp_path, capsys
 ):
-    _, path = saved_trace
-    v3 = tmp_path / "wiki3.ucwa"
-    assert trace_main(["convert", str(path), str(v3)]) == 0
+    _, path = saved_trace  # written without the index
+    indexed = tmp_path / "wiki3.ucwa"
+    assert trace_main(["convert", str(path), str(indexed)]) == 0
     capsys.readouterr()
     assert trace_main(["slice", str(path)]) == 0
-    v2_out = capsys.readouterr().out
-    assert "engine=sequential" in v2_out
-    assert trace_main(["slice", str(v3)]) == 0
-    v3_out = capsys.readouterr().out
-    assert "engine=vectorized" in v3_out and "stored_index=True" in v3_out
+    bare_out = capsys.readouterr().out
+    assert "engine=sequential" in bare_out
+    assert trace_main(["slice", str(indexed)]) == 0
+    indexed_out = capsys.readouterr().out
+    assert "engine=vectorized" in indexed_out and "stored_index=True" in indexed_out
     # Same fractions, line for line, whichever engine ran.
     strip = lambda out: [line for line in out.splitlines() if "engine" not in line]
-    assert strip(v3_out) == strip(v2_out)
+    assert strip(indexed_out) == strip(bare_out)
+
+
+def _write_unreadable(path, problem):
+    """A file at ``path`` that no reader accepts, or none for "missing"."""
+    if problem == "not-a-trace":
+        path.write_text("localhost\n")
+        return
+    if problem == "missing":
+        return
+    store = _small_store()
+    if problem == "ucwa2":  # the retired format: its layout is the digest image
+        path.write_bytes(serialize_trace(store))
+        return
+    cols = ColumnarTrace.from_store(store)
+    if problem == "bad-kind":
+        cols.kind = cols.kind.copy()
+        cols.kind[3] = 200
+    else:  # a marker id past the marker table
+        cols.marker1 = cols.marker1.copy()
+        cols.marker1[0] = len(cols.markers) + 1
+    save_columnar(cols, path)
+
+
+def _small_store():
+    from repro.workloads.fuzz import random_frame_trace
+
+    return random_frame_trace(2, n_frames=2, records_per_frame=60)
 
 
 @pytest.mark.parametrize("command", ["info", "lint", "slice"])
-@pytest.mark.parametrize("problem", ["missing", "not-a-trace"])
+@pytest.mark.parametrize(
+    "problem", ["missing", "not-a-trace", "ucwa2", "bad-kind", "bad-marker"]
+)
 def test_cli_unreadable_trace_is_an_error_not_a_traceback(command, problem, tmp_path, capsys):
     path = tmp_path / "t.ucwa"
-    if problem == "not-a-trace":
-        path.write_text("localhost\n")
+    _write_unreadable(path, problem)
     assert trace_main([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and str(path) in captured.err
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("fmt", ["v2", "v3"])
+@pytest.mark.parametrize("fmt", ["default", "v3"])
 def test_cli_collect_checks_the_destination_before_simulating(fmt, tmp_path, monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("collect simulated before checking its destination")
 
     monkeypatch.setattr("repro.harness.experiments.run_engine", must_not_run)
     path = tmp_path / "missing-dir" / "t.ucwa"
-    assert trace_main(["collect", "ticker", str(path), f"--format={fmt}"]) == 2
+    options = [] if fmt == "default" else [f"--format={fmt}"]
+    assert trace_main(["collect", "ticker", str(path), *options]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: no such directory: {path.parent}\n"
     assert not path.parent.exists()

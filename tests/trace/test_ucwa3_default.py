@@ -2,8 +2,9 @@
 
 ``collect``, ``convert`` and the fleet load test share one UCWA3 writer
 (:func:`repro.trace.columnar.save_ucwa3`), so a default collect is
-byte-identical to ``collect --format=v3`` and to ``convert`` of a UCWA2
-collect; ``--format=v2`` still writes UCWA2.  Also here: the sort-based
+byte-identical to ``collect --format=v3`` and to ``convert`` of an
+unindexed file; ``--format=v2`` (UCWA2 is no longer written) and every
+other format exit 2.  Also here: the sort-based
 :func:`~repro.trace.columnar.distinct` the index build uses in place of
 a values-only ``np.unique``.
 """
@@ -17,16 +18,15 @@ from repro.service.fleet.loadtest import LoadtestConfig, _build_traces
 from repro.trace.__main__ import main as trace_main
 from repro.trace.columnar import distinct, load_columnar
 
-UCWA2 = b"UCWA2\n"
 UCWA3 = b"UCWA3\n"
 
 
 @pytest.fixture(scope="module")
 def collected(tmp_path_factory):
-    """ticker collected three ways: default, ``--format=v3``, ``--format=v2``."""
+    """ticker collected two ways: default and ``--format=v3``."""
     root = tmp_path_factory.mktemp("collect")
     paths = {}
-    for fmt in ("default", "v3", "v2"):
+    for fmt in ("default", "v3"):
         paths[fmt] = root / f"ticker-{fmt}.ucwa"
         args = ["collect", "ticker", str(paths[fmt])]
         if fmt != "default":
@@ -42,27 +42,33 @@ def test_default_collect_writes_indexed_ucwa3(collected):
     assert trace.index is not None and trace.index.n_edges() > 0
 
 
-def test_default_collect_matches_v3_collect_and_convert_of_v2(collected, tmp_path):
+def test_default_collect_matches_v3_collect_and_convert_of_an_unindexed_file(
+    collected, tmp_path
+):
     default = collected["default"].read_bytes()
     assert default == collected["v3"].read_bytes()
+    bare = tmp_path / "bare.ucwa"
+    assert trace_main(["convert", str(collected["default"]), str(bare), "--no-index"]) == 0
     converted = tmp_path / "converted.ucwa"
-    assert trace_main(["convert", str(collected["v2"]), str(converted)]) == 0
+    assert trace_main(["convert", str(bare), str(converted), "--format=v3"]) == 0
     assert converted.read_bytes() == default
 
 
-def test_format_v2_collect_still_writes_ucwa2(collected, tmp_path):
-    assert collected["v2"].read_bytes().startswith(UCWA2)
-    back = tmp_path / "back.ucwa"
-    assert trace_main(["convert", str(collected["default"]), str(back), "--format=v2"]) == 0
-    assert back.read_bytes() == collected["v2"].read_bytes()
+@pytest.mark.parametrize("fmt", ("v2", "v1", "v9", ""))
+def test_any_format_but_v3_exits_2(collected, tmp_path, capsys, fmt):
+    out = tmp_path / "out.ucwa"
+    assert trace_main(["convert", str(collected["default"]), str(out), f"--format={fmt}"]) == 2
+    assert trace_main(["collect", "ticker", str(out), f"--format={fmt}"]) == 2
+    assert f"unknown format {fmt!r}" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_convert_no_index_drops_the_index_of_a_default_collect(collected, tmp_path):
     from_default = tmp_path / "from-default.ucwa"
-    from_v2 = tmp_path / "from-v2.ucwa"
+    again = tmp_path / "again.ucwa"
     assert trace_main(["convert", str(collected["default"]), str(from_default), "--no-index"]) == 0
-    assert trace_main(["convert", str(collected["v2"]), str(from_v2), "--no-index"]) == 0
-    assert from_default.read_bytes() == from_v2.read_bytes()
+    assert trace_main(["convert", str(from_default), str(again), "--no-index"]) == 0
+    assert from_default.read_bytes() == again.read_bytes()
     assert load_columnar(from_default).index is None
     # the source trace is left as it was
     assert load_columnar(collected["default"]).index is not None

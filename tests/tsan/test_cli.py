@@ -4,23 +4,24 @@ import json
 
 import pytest
 
-from repro.trace.columnar import convert_trace
-from repro.trace.store import save_trace
+from repro.trace.columnar import save_ucwa3
+from repro.trace.store import serialize_trace
 from repro.tsan.__main__ import main as tsan_main
+from repro.tsan.detector import detect_races
 from repro.workloads.fuzz import random_sync_trace, random_trace
 
 
 def test_races_on_clean_trace_exits_zero(tmp_path, capsys):
     store, _ = random_sync_trace(5, target_records=1_200)
     path = tmp_path / "clean.ucwa"
-    save_trace(store, path)
+    save_ucwa3(store, path, with_index=False)
     assert tsan_main(["races", str(path)]) == 0
     assert "no races found" in capsys.readouterr().out
 
 
 def test_races_on_racy_trace_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "racy.ucwa"
-    save_trace(random_trace(5, target_records=1_200), path)
+    save_ucwa3(random_trace(5, target_records=1_200), path, with_index=False)
     assert tsan_main(["races", str(path)]) == 1
     assert "race" in capsys.readouterr().out
 
@@ -28,7 +29,7 @@ def test_races_on_racy_trace_exits_nonzero(tmp_path, capsys):
 def test_races_json_is_machine_readable(tmp_path, capsys):
     store, _ = random_sync_trace(6, target_records=1_200)
     path = tmp_path / "clean.ucwa"
-    save_trace(store, path)
+    save_ucwa3(store, path, with_index=False)
     assert tsan_main(["races", str(path), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is True
@@ -37,28 +38,27 @@ def test_races_json_is_machine_readable(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("racy", (True, False), ids=("racy", "clean"))
-def test_races_reads_ucwa3_like_its_ucwa2_source(tmp_path, capsys, racy):
+def test_races_reads_ucwa3_like_its_row_store(tmp_path, capsys, racy):
     if racy:
         store = random_trace(5, target_records=1_200)
     else:
         store, _ = random_sync_trace(5, target_records=1_200)
-    v2, v3 = tmp_path / "t2.ucwa", tmp_path / "t3.ucwa"
-    save_trace(store, v2)
-    convert_trace(v2, v3)
-    runs = []
-    for path in (v2, v3):
-        status = tsan_main(["races", str(path)])
-        out = capsys.readouterr().out.replace(str(path), "<trace>")
-        runs.append((status, out))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == (1 if racy else 0)
+    path = tmp_path / "t.ucwa"
+    save_ucwa3(store, path)
+    status = tsan_main(["races", str(path), "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert data.pop("trace") == str(path)
+    assert data == json.loads(json.dumps(detect_races(store).to_json()))
+    assert status == (1 if racy else 0)
 
 
-@pytest.mark.parametrize("kind", ("missing", "not-a-trace"))
+@pytest.mark.parametrize("kind", ("missing", "not-a-trace", "ucwa2"))
 def test_races_on_unreadable_path_exits_2(tmp_path, capsys, kind):
     path = tmp_path / "t.ucwa"
     if kind == "not-a-trace":
         path.write_text("hello\n")
+    elif kind == "ucwa2":  # the retired format: its layout is the digest image
+        path.write_bytes(serialize_trace(random_trace(5, target_records=300)))
     assert tsan_main(["races", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
