@@ -30,9 +30,16 @@ class JSParser:
         self.pos = 0
 
     # -- token plumbing -------------------------------------------------- #
+    #
+    # ``next`` never moves past the final EOF token, so ``self.pos``
+    # always indexes a token.  The hot paths below read
+    # ``self.tokens[self.pos]`` directly and step over a token they know
+    # is not EOF with ``self.pos += 1``.
 
     def peek(self, ahead: int = 0) -> JSToken:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> JSToken:
         token = self.tokens[self.pos]
@@ -49,8 +56,9 @@ class JSParser:
         return token
 
     def accept_punct(self, value: str) -> bool:
-        if self.peek().is_punct(value):
-            self.next()
+        token = self.tokens[self.pos]
+        if token.kind == "punct" and token.value == value:
+            self.pos += 1
             return True
         return False
 
@@ -68,26 +76,11 @@ class JSParser:
     # -- statements -------------------------------------------------------- #
 
     def parse_statement(self) -> ast.JSNode:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind == "keyword":
-            handler = {
-                "var": self._parse_var,
-                "let": self._parse_var,
-                "const": self._parse_var,
-                "function": self._parse_function_decl,
-                "if": self._parse_if,
-                "while": self._parse_while,
-                "do": self._parse_do_while,
-                "for": self._parse_for,
-                "switch": self._parse_switch,
-                "throw": self._parse_throw,
-                "try": self._parse_try,
-                "return": self._parse_return,
-                "break": self._parse_break,
-                "continue": self._parse_continue,
-            }.get(token.value)
+            handler = _STATEMENT_PARSERS.get(token.value)
             if handler is not None:
-                return handler()
+                return handler(self)
         if token.is_punct("{"):
             # Standalone block: flatten into an if(true)-like sequence is
             # unnecessary; represent as expression-less If with one arm.
@@ -160,11 +153,15 @@ class JSParser:
 
     def _parse_block_rest(self) -> List[ast.JSNode]:
         body: List[ast.JSNode] = []
-        while not self.peek().is_punct("}"):
-            if self.peek().kind == "eof":
+        tokens = self.tokens
+        while True:
+            token = tokens[self.pos]
+            if token.kind == "punct" and token.value == "}":
+                break
+            if token.kind == "eof":
                 raise JSParseError("unclosed block")
             body.append(self.parse_statement())
-        self.next()  # consume '}'
+        self.pos += 1  # consume '}'
         return body
 
     def _parse_body_or_statement(self) -> List[ast.JSNode]:
@@ -378,7 +375,7 @@ class JSParser:
 
     def parse_assignment(self) -> ast.JSNode:
         left = self.parse_conditional()
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind == "punct" and token.value in _ASSIGN_OPS:
             self.next()
             if not isinstance(left, (ast.Identifier, ast.Member)):
@@ -408,24 +405,23 @@ class JSParser:
 
     def parse_logical_or(self) -> ast.JSNode:
         left = self.parse_logical_and()
-        while self.peek().is_punct("||"):
-            self.next()
+        while self.accept_punct("||"):
             right = self.parse_logical_and()
             left = ast.Logical(span=(left.span[0], right.span[1]), op="||", left=left, right=right)
         return left
 
     def parse_logical_and(self) -> ast.JSNode:
         left = self.parse_binary(0)
-        while self.peek().is_punct("&&"):
-            self.next()
+        while self.accept_punct("&&"):
             right = self.parse_binary(0)
             left = ast.Logical(span=(left.span[0], right.span[1]), op="&&", left=left, right=right)
         return left
 
     def parse_binary(self, min_precedence: int) -> ast.JSNode:
         left = self.parse_unary()
+        tokens = self.tokens
         while True:
-            token = self.peek()
+            token = tokens[self.pos]
             op = token.value
             if token.kind == "keyword" and op == "in":
                 precedence = _BINARY_PRECEDENCE["in"]
@@ -435,22 +431,22 @@ class JSParser:
                 return left
             if precedence < min_precedence:
                 return left
-            self.next()
+            self.pos += 1
             right = self.parse_binary(precedence + 1)
             left = ast.Binary(span=(left.span[0], right.span[1]), op=op, left=left, right=right)
 
     def parse_unary(self) -> ast.JSNode:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind == "punct" and token.value in ("!", "-", "+", "~"):
-            self.next()
+            self.pos += 1
             operand = self.parse_unary()
             return ast.Unary(span=(token.start, operand.span[1]), op=token.value, operand=operand)
         if token.kind == "keyword" and token.value in ("typeof", "delete"):
-            self.next()
+            self.pos += 1
             operand = self.parse_unary()
             return ast.Unary(span=(token.start, operand.span[1]), op=token.value, operand=operand)
         if token.kind == "punct" and token.value in ("++", "--"):
-            self.next()
+            self.pos += 1
             target = self.parse_unary()
             return ast.UpdateExpr(
                 span=(token.start, target.span[1]), op=token.value, target=target, prefix=True
@@ -459,16 +455,17 @@ class JSParser:
 
     def parse_postfix(self) -> ast.JSNode:
         expr = self.parse_call_member()
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind == "punct" and token.value in ("++", "--"):
-            self.next()
+            self.pos += 1
             return ast.UpdateExpr(
                 span=(expr.span[0], token.end), op=token.value, target=expr, prefix=False
             )
         return expr
 
     def parse_call_member(self) -> ast.JSNode:
-        if self.peek().is_keyword("new"):
+        tokens = self.tokens
+        if tokens[self.pos].is_keyword("new"):
             kw = self.next()
             callee = self.parse_call_member()
             if isinstance(callee, ast.Call):
@@ -477,20 +474,25 @@ class JSParser:
             return ast.Call(span=(kw.start, callee.span[1]), callee=callee, args=[], is_new=True)
         expr = self.parse_primary()
         while True:
-            if self.accept_punct("."):
+            token = tokens[self.pos]
+            if token.kind != "punct":
+                return expr
+            op = token.value
+            if op == ".":
+                self.pos += 1
                 name_tok = self.next()
                 if name_tok.kind not in ("ident", "keyword"):
                     raise JSParseError(f"expected property name at {name_tok.start}")
                 expr = ast.Member(
                     span=(expr.span[0], name_tok.end), obj=expr, prop=name_tok.value
                 )
-            elif self.peek().is_punct("["):
-                self.next()
+            elif op == "[":
+                self.pos += 1
                 index = self.parse_expression()
                 close = self.expect_punct("]")
                 expr = ast.Member(span=(expr.span[0], close.end), obj=expr, index=index)
-            elif self.peek().is_punct("("):
-                self.next()
+            elif op == "(":
+                self.pos += 1
                 args: List[ast.JSNode] = []
                 while not self.peek().is_punct(")"):
                     args.append(self.parse_assignment())
@@ -502,28 +504,29 @@ class JSParser:
                 return expr
 
     def parse_primary(self) -> ast.JSNode:
-        token = self.peek()
-        if token.kind == "number":
-            self.next()
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind == "ident":
+            self.pos += 1
+            return ast.Identifier(span=(token.start, token.end), name=token.value)
+        if kind == "number":
+            self.pos += 1
             return ast.Literal(span=(token.start, token.end), value=float(token.value))
-        if token.kind == "string":
-            self.next()
+        if kind == "string":
+            self.pos += 1
             return ast.Literal(span=(token.start, token.end), value=token.value)
-        if token.kind == "keyword":
+        if kind == "keyword":
             if token.value in ("true", "false"):
-                self.next()
+                self.pos += 1
                 return ast.Literal(span=(token.start, token.end), value=token.value == "true")
             if token.value in ("null", "undefined"):
-                self.next()
+                self.pos += 1
                 return ast.Literal(span=(token.start, token.end), value=None)
             if token.value == "function":
                 return self._parse_function_expr()
             if token.value == "this":
-                self.next()
+                self.pos += 1
                 return ast.ThisExpr(span=(token.start, token.end))
-        if token.kind == "ident":
-            self.next()
-            return ast.Identifier(span=(token.start, token.end), name=token.value)
         if token.is_punct("("):
             self.next()
             expr = self.parse_expression()
@@ -552,6 +555,25 @@ class JSParser:
             close = self.expect_punct("}")
             return ast.ObjectLiteral(span=(token.start, close.end), entries=entries)
         raise JSParseError(f"unexpected token {token.value!r} at offset {token.start}")
+
+
+#: Statement keyword -> the method parsing that statement.
+_STATEMENT_PARSERS = {
+    "var": JSParser._parse_var,
+    "let": JSParser._parse_var,
+    "const": JSParser._parse_var,
+    "function": JSParser._parse_function_decl,
+    "if": JSParser._parse_if,
+    "while": JSParser._parse_while,
+    "do": JSParser._parse_do_while,
+    "for": JSParser._parse_for,
+    "switch": JSParser._parse_switch,
+    "throw": JSParser._parse_throw,
+    "try": JSParser._parse_try,
+    "return": JSParser._parse_return,
+    "break": JSParser._parse_break,
+    "continue": JSParser._parse_continue,
+}
 
 
 def parse_js(source: str) -> ast.Program:

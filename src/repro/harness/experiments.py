@@ -23,6 +23,7 @@ from ..profiler import (
     analyze_frames,
     pixel_criteria,
 )
+from ..trace.records import collector_paused
 from ..trace.store import TraceStore
 from ..workloads.base import Benchmark
 
@@ -69,8 +70,15 @@ class ExperimentResult:
         return self.code_unused_bytes() / total if total else 0.0
 
 
+@collector_paused()
 def run_engine(bench: Benchmark, metrics_ticks: int = 4) -> BrowserEngine:
-    """Run a benchmark's full session and return the engine."""
+    """Run a benchmark's full session and return the engine.
+
+    The cyclic collector is paused for the run (see
+    :func:`~repro.trace.records.collector_paused`): the trace and the DOM
+    it is built from stay alive to the end, so collections during the
+    run would only rescan them.
+    """
     engine = BrowserEngine(bench.config)
     engine.load_page(bench.page)
     if bench.deferred_scripts:
@@ -144,6 +152,7 @@ class FrameExperimentResult:
         return self.benchmark.name
 
 
+@collector_paused()
 def run_frames(
     bench: Benchmark, slice_engine: str = "auto"
 ) -> FrameExperimentResult:
@@ -155,7 +164,8 @@ def run_frames(
     work as redundant vs. fresh (see :mod:`repro.profiler.redundancy`).
     ``slice_engine="incremental"`` profiles all frames in one streaming
     checkpointed pass instead of F independent full slices (identical
-    report).
+    report).  The cyclic collector is paused throughout, as in
+    :func:`run_engine`.
     """
     engine = BrowserEngine(bench.config)
     engine.load_page(bench.page)

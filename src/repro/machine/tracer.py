@@ -106,6 +106,12 @@ class Tracer:
         self._records = self.store.records()
         self._sites: Dict[Tuple[int, str], int] = {}
         self._site_counts: Dict[int, int] = {}
+        #: per-call memos of ``_pc`` for the emit methods whose site label
+        #: is derived from their argument: (fn, label) -> (cmp pc, branch
+        #: pc), (fn, syscall name) -> pc and (fn, marker tag) -> pc
+        self._branch_sites: Dict[Tuple[int, str], Tuple[int, int]] = {}
+        self._syscall_sites: Dict[Tuple[int, str], int] = {}
+        self._marker_sites: Dict[Tuple[int, str], int] = {}
         #: tid -> call stack of function symbol ids (root frame first)
         self._stacks: Dict[int, List[int]] = {}
         self._tid: Optional[int] = None
@@ -211,8 +217,13 @@ class Tracer:
         if tid is None:
             raise RuntimeError(_NO_THREAD)
         fn = self._stack[-1]
-        cmp_pc = self._pc(fn, label + "$cmp")
-        br_pc = self._pc(fn, label + "$br")
+        pcs = self._branch_sites.get((fn, label))
+        if pcs is None:
+            pcs = self._branch_sites[fn, label] = (
+                self._pc(fn, label + "$cmp"),
+                self._pc(fn, label + "$br"),
+            )
+        cmp_pc, br_pc = pcs
         records = self._records
         self.clock.tick(tid)
         records.append(new_record(tid, cmp_pc, _CMP, fn, NO_REGS, _FLAGS_ONLY, tuple(reads)))
@@ -279,7 +290,9 @@ class Tracer:
         if tid is None:
             raise RuntimeError(_NO_THREAD)
         fn = self._stack[-1]
-        pc = self._pc(fn, f"syscall:{name}")
+        pc = self._syscall_sites.get((fn, name))
+        if pc is None:
+            pc = self._syscall_sites[fn, name] = self._pc(fn, f"syscall:{name}")
         self.clock.tick(tid)
         records = self._records
         records.append(
@@ -302,7 +315,9 @@ class Tracer:
         if tid is None:
             raise RuntimeError(_NO_THREAD)
         fn = self._stack[-1]
-        pc = self._pc(fn, f"marker:{tag}")
+        pc = self._marker_sites.get((fn, tag))
+        if pc is None:
+            pc = self._marker_sites[fn, tag] = self._pc(fn, f"marker:{tag}")
         cells = tuple(cells)
         self.clock.tick(tid)
         records = self._records

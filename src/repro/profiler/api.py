@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from ..trace.records import collector_paused
 from ..trace.store import TraceStore
 from .categorize import CategoryDistribution, categorize_unnecessary
 from .cdg import ControlDependenceIndex
@@ -137,6 +138,7 @@ class Profiler:
             self._cdi = ControlDependenceIndex(build_cfgs(self._store))
         return self._cdi
 
+    @collector_paused()
     def slice(
         self,
         criteria: SlicingCriteria,
@@ -160,7 +162,9 @@ class Profiler:
         a timeline (``sample_every``) and join reasons
         (``options.track_reasons``); the other two raise ``ValueError``
         when asked for either.  ``checkpoint`` overrides the
-        profiler-lifetime checkpoint (incremental engine only).
+        profiler-lifetime checkpoint (incremental engine only).  The
+        forward and backward passes run with the cyclic collector paused
+        (:func:`~repro.trace.records.collector_paused`).
         """
         if engine == "auto":
             engine = resolve_engine(self._store, options, sample_every, checkpoint)

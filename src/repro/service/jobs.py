@@ -221,13 +221,17 @@ def execute_job(spec: JobSpec, attempt: int = 0) -> Dict[str, Any]:
     the slice reads it too); if the file was rewritten or replaced
     meanwhile, the digest may not name the bytes sliced, and the job
     fails with :class:`SpecError` rather than return a result the server
-    would cache under that digest.
+    would cache under that digest.  A file that cannot be read (missing,
+    unreadable) fails the same way, naming the path.
     """
     t0 = time.perf_counter()
     path = spec.trace_path
     if path is not None:
-        identity = file_identity(path)
-        digest = file_digest(path)
+        try:
+            identity = file_identity(path)
+            digest = file_digest(path)
+        except OSError as err:
+            raise SpecError(f"{path}: {err.strerror or err}") from None
         store = resolve_trace(spec)
     elif spec.trace_ref is not None:
         store = resolve_trace(spec)

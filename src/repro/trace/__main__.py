@@ -183,9 +183,15 @@ def _slice(path: str, engine: str = "auto", criteria: str = "pixels") -> int:
 
 
 def _on_trace(command, path: str, **options) -> int:
-    """Run ``command`` on a stored trace; an unreadable one exits 2."""
+    """Run ``command`` on a stored trace; an unreadable one exits 2.
+
+    A reader that closed our stdout (``... | head``) is not an unreadable
+    trace: that error goes on to the ``__main__`` handler.
+    """
     try:
         return command(path, **options)
+    except BrokenPipeError:
+        raise
     except (ValueError, OSError) as err:
         return _error(err)
 
@@ -266,6 +272,11 @@ def main(argv) -> int:
 
 if __name__ == "__main__":
     try:
-        sys.exit(main(sys.argv[1:]))
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
     except BrokenPipeError:  # e.g. `... | head`
-        sys.exit(0)
+        # The reader has what it wanted.  Shutdown flushes stdout once
+        # more; pointed at devnull, that flush has nowhere left to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)

@@ -14,8 +14,10 @@ slicer never needs values, only locations and the dynamic path.
 from __future__ import annotations
 
 import enum
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 #: Marker-tag prefixes of the synchronization-event convention.  A MARKER
 #: record whose tag starts with one of these is a *sync event*, not a data
@@ -288,6 +290,36 @@ def new_record(
     record.marker = marker
     record.__class__ = TraceRecord
     return record
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for a block or a call.
+
+    A context manager that also decorates (``@collector_paused()``).  It
+    disables the collector on entry and, however the block ends, puts it
+    back in the state it found, so nested uses are safe and a caller that
+    had it off keeps it off.
+
+    Every bulk producer or walker of records runs under it: the trace
+    recipes (``harness.experiments.run_engine`` and ``run_frames``),
+    :meth:`~repro.profiler.api.Profiler.slice` and
+    :meth:`~repro.trace.columnar.ColumnarTrace.materialize`.  Records, their
+    operand tuples and the DOM stay alive for the whole trace, so each
+    collection their allocation burst triggers rescans everything built
+    so far and frees next to nothing.  Reference counting still frees all
+    acyclic garbage at once; the few cycles a paused run leaves are found
+    by the next collection after it.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 @dataclass

@@ -142,6 +142,27 @@ def test_a_file_that_is_not_a_readable_trace_fails_the_job(service, tmp_path, ki
     assert f"{ref}.ucwa" in by_ref["error"]["message"]
 
 
+def test_a_path_job_over_a_missing_file_fails_and_caches_nothing(
+    service, tmp_path, fuzz_trace_path
+):
+    """A path that names no file fails as ``job-failed`` naming the path,
+    not as an internal error; once the file appears, the same submit
+    runs."""
+    server, client = service
+    path = tmp_path / "later.ucwa"
+    missing = client.submit(JobSpec(trace_path=str(path)), wait=True)
+    assert missing["outcome"] != "ok"
+    assert missing["error"]["code"] == "job-failed"
+    assert str(path) in missing["error"]["message"]
+    stats = server.cache.stats()
+    assert (stats["entries_memory"], stats["entries_disk"]) == (0, 0)
+
+    path.write_bytes(fuzz_trace_path.read_bytes())
+    present = client.submit(JobSpec(trace_path=str(path)), wait=True)
+    assert present["outcome"] == "ok"
+    assert present["result"]["trace_digest"] == file_digest(path)
+
+
 def test_full_queue_rejects_with_busy(service_factory, fuzz_trace_path):
     """Backpressure is an explicit response, not a hang."""
     server = service_factory(workers=1, queue_size=1)

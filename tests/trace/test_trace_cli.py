@@ -1,11 +1,15 @@
 """Tests for the trace CLI and full-trace persistence of a real workload."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.profiler import Profiler, pixel_criteria
 from repro.trace import load_any_trace
 from repro.trace.__main__ import main as trace_main
@@ -228,3 +232,44 @@ def test_cli_collect_checks_the_destination_before_simulating(fmt, tmp_path, mon
     captured = capsys.readouterr()
     assert captured.err == f"error: no such directory: {path.parent}\n"
     assert not path.parent.exists()
+
+
+def _reader_leaves(args, lines_read, unbuffered):
+    """Run the trace CLI with its stdout on a pipe whose reader closes
+    after ``lines_read`` lines (0: before the CLI writes anything, the
+    earliest ``| head`` can leave).  Returns (status, lines, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro.trace", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    lines = [child.stdout.readline() for _ in range(lines_read)]
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    return child.wait(timeout=60), lines, stderr
+
+
+@pytest.mark.parametrize("command", ["info", "lint", "slice"])
+@pytest.mark.parametrize(
+    "lines_read, unbuffered", [(0, False), (0, True), (1, True)]
+)
+def test_cli_output_cut_short_by_its_reader_exits_0(
+    command, lines_read, unbuffered, tmp_path
+):
+    """``python -m repro.trace info|lint|slice ... | head`` exits 0 and
+    prints nothing on stderr, whether the pipe breaks on a print (an
+    unbuffered stdout) or in the flush at exit (a buffered one)."""
+    path = tmp_path / "t.ucwa"
+    save_ucwa3(_small_store(), path)
+    status, lines, stderr = _reader_leaves([command, str(path)], lines_read, unbuffered)
+    assert (status, stderr) == (0, b"")
+    assert all(line.endswith(b"\n") for line in lines)
