@@ -23,10 +23,12 @@ sync-edge counts into the thread-breakdown report (see
 docs/race-detection.md).
 ``frames`` runs the multi-frame workloads (default: ticker, livefeed,
 scrollseq) through the incremental pipeline and prints each frame's
-pixel-slice and redundancy breakdown (see docs/incremental-pipeline.md);
+pixel-slice and redundancy breakdown (see docs/incremental-pipeline.md).
+By default each frame is sliced by a bounded sequential walk that stops
+once nothing below the frame can change its flags;
 ``--engine=incremental`` profiles all frames in one streaming
-checkpointed pass instead of one full slice per frame (identical
-numbers; see docs/incremental-slicing.md).
+checkpointed pass instead (identical numbers; see
+docs/incremental-slicing.md).
 ``service`` smoke-tests the profiling daemon (see
 docs/profiling-service.md): it boots an in-process server, submits the
 paper workloads (default: the four Table II benchmarks) for ``--rounds``

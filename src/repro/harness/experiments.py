@@ -162,10 +162,11 @@ def run_frames(
     incremental frame pipeline (timer ticks and scripted actions), then
     slices each frame's own pixel criterion and classifies its non-slice
     work as redundant vs. fresh (see :mod:`repro.profiler.redundancy`).
+    The default slices each frame by a bounded sequential walk
+    (:func:`~repro.profiler.redundancy.bounded_frame_flags`);
     ``slice_engine="incremental"`` profiles all frames in one streaming
-    checkpointed pass instead of F independent full slices (identical
-    report).  The cyclic collector is paused throughout, as in
-    :func:`run_engine`.
+    checkpointed pass instead (identical report).  The cyclic collector
+    is paused throughout, as in :func:`run_engine`.
     """
     engine = BrowserEngine(bench.config)
     engine.load_page(bench.page)

@@ -289,6 +289,14 @@ def run_epoch(
     at the end.  A sample counts the records visited and the flags set so
     far (those of thread ``main_tid`` separately); a RET that joins
     retroactively counts when its CALL is visited.
+
+    The loop holds the running thread's stack, live registers and
+    pending branches while consecutive records share a thread, and
+    looks them up again when the thread changes or a criterion adds
+    registers (a criterion may name any thread's registers, this one's
+    included).  Criteria are met through their indices in ``[lo, hi)``,
+    highest first, and timeline samples through the index at which the
+    next one falls due.
     """
     flags = bytearray(hi - lo)
     extra: List[Tuple[int, int]] = []
@@ -308,54 +316,84 @@ def run_epoch(
     processed_main = 0
     in_slice_main = 0
 
+    # Criterion indices, highest first, ending in a sentinel no index hits.
+    crit_points = sorted((i for i in crit_by_index if lo <= i < hi), reverse=True)
+    crit_points.append(lo - 1)
+    crit_pos = 0
+    next_crit = crit_points[0]
+    # The highest index at which a SYSCALL seeds the slice.
+    if not include_syscalls:
+        syscall_top = lo - 1
+    elif window_end is None:
+        syscall_top = hi
+    else:
+        syscall_top = window_end
+    # The index after whose visit the next timeline sample falls due.
+    sampling = bool(sample_every)
+    next_sample = hi - sample_every if sampling else lo - 1
+
     RET = InstrKind.RET
     CALL = InstrKind.CALL
     BRANCH = InstrKind.BRANCH
     SYSCALL = InstrKind.SYSCALL
 
+    # The running thread and its state; ``cur_tid = None`` forces a lookup.
+    cur_tid: Optional[int] = None
+    stack: List[_Frame] = []
+    tregs: Optional[Set[int]] = None
+    tpending: Optional[Set[int]] = None
+    is_main = False
+
     for i in range(hi - 1, lo - 1, -1):
         rec = records[i]
         tid = rec.tid
-        if tid == main_tid:
+
+        if i == next_crit:
+            crit = crit_by_index[i]
+            live_mem.update(crit.cells)
+            if crit.regs:
+                for reg_tid, reg in crit.regs:
+                    live_regs.setdefault(reg_tid, set()).add(reg)
+                cur_tid = None
+            crit_pos += 1
+            next_crit = crit_points[crit_pos]
+
+        if tid != cur_tid:
+            cur_tid = tid
+            stack = stacks.get(tid)
+            if stack is None:
+                stack = stacks[tid] = []
+                min_depth[tid] = 0
+            tregs = live_regs.get(tid)
+            tpending = pending.get(tid)
+            is_main = sampling and tid == main_tid
+        if is_main:
             processed_main += 1
 
-        crit = crit_by_index.get(i)
-        if crit is not None:
-            live_mem.update(crit.cells)
-            for reg_tid, reg in crit.regs:
-                live_regs.setdefault(reg_tid, set()).add(reg)
-
-        stack = stacks.get(tid)
-        if stack is None:
-            stack = stacks[tid] = []
-            min_depth[tid] = 0
         kind = rec.kind
         if kind == RET:
-            stack.append(_Frame(rec.fn, ret_index=i))
-            if sample_every and (hi - i) % sample_every == 0:
+            stack.append(_Frame(rec.fn, i))
+            if i == next_sample:
                 timeline.append(
                     TimelineSample(hi - i, in_slice_count, processed_main, in_slice_main)
                 )
+                next_sample -= sample_every
             continue
-
-        if not stack:
-            stack.append(_Frame(rec.fn, ret_index=None, is_root=True))
-        elif stack[-1].fn != rec.fn and kind != CALL:
-            stack.append(_Frame(rec.fn, ret_index=None, is_root=True))
-
-        frame = stack[-1]
-        tregs = live_regs.get(tid)
-        tpending = pending.get(tid)
 
         in_slice = False
         reason: Tuple[str, int] = ("data", -1)
 
         if kind == CALL:
+            fn = rec.fn
             callee: Optional[_Frame] = None
-            if stack and (not stack[-1].is_root or stack[-1].fn != rec.fn):
+            if not stack:
+                stack.append(_Frame(fn, None, False, True))
+            elif not stack[-1].is_root or stack[-1].fn != fn:
                 callee = stack.pop()
-                if len(stack) < min_depth.get(tid, 0):
+                if len(stack) < min_depth[tid]:
                     min_depth[tid] = len(stack)
+                if not stack:
+                    stack.append(_Frame(fn, None, False, True))
             if callee is not None and callee.needed and call_site_dependences:
                 in_slice = True
                 reason = ("call", callee.fn)
@@ -366,27 +404,28 @@ def run_epoch(
                     elif not flags[ret_index - lo]:
                         flags[ret_index - lo] = 1
                         in_slice_count += 1
-                        if tid == main_tid:
+                        if is_main:
                             in_slice_main += 1
                         if reasons is not None:
                             # Without this entry the per-kind reason counts
                             # would not sum to the slice size.
                             reasons[ret_index] = ("call", callee.fn)
-            if not stack:
-                stack.append(_Frame(rec.fn, ret_index=None, is_root=True))
-            frame = stack[-1]
-        elif kind == BRANCH:
-            if tpending and rec.pc in tpending:
-                in_slice = True
-                reason = ("control", rec.pc)
-                tpending.discard(rec.pc)
-        elif kind == SYSCALL:
-            if include_syscalls and (window_end is None or i <= window_end):
-                in_slice = True
-                reason = ("syscall", rec.syscall or 0)
+        else:
+            if not stack or stack[-1].fn != rec.fn:
+                stack.append(_Frame(rec.fn, None, False, True))
+            if kind == BRANCH:
+                if tpending and rec.pc in tpending:
+                    in_slice = True
+                    reason = ("control", rec.pc)
+                    tpending.discard(rec.pc)
+            elif kind == SYSCALL:
+                if i <= syscall_top:
+                    in_slice = True
+                    reason = ("syscall", rec.syscall or 0)
 
+        mem_written = rec.mem_written
         if not in_slice:
-            for addr in rec.mem_written:
+            for addr in mem_written:
                 if addr in live_mem:
                     in_slice = True
                     reason = ("data", addr)
@@ -399,38 +438,42 @@ def run_epoch(
                         break
 
         if in_slice:
-            if rec.mem_written:
-                live_mem.difference_update(rec.mem_written)
-            if rec.regs_written:
+            if mem_written:
+                live_mem.difference_update(mem_written)
+            regs_written = rec.regs_written
+            if regs_written:
                 if tregs is None:
                     tregs = live_regs.setdefault(tid, set())
-                tregs.difference_update(rec.regs_written)
-            if rec.mem_read:
-                live_mem.update(rec.mem_read)
-            if rec.regs_read:
+                tregs.difference_update(regs_written)
+            mem_read = rec.mem_read
+            if mem_read:
+                live_mem.update(mem_read)
+            regs_read = rec.regs_read
+            if regs_read:
                 if tregs is None:
                     tregs = live_regs.setdefault(tid, set())
-                tregs.update(rec.regs_read)
+                tregs.update(regs_read)
             cdeps = deps_of(rec.pc)
             if cdeps:
                 if tpending is None:
                     tpending = pending.setdefault(tid, set())
                 tpending.update(cdeps)
-            frame.needed = True
+            stack[-1].needed = True
             if reasons is not None:
                 reasons[i] = reason
             if not flags[i - lo]:
                 flags[i - lo] = 1
                 in_slice_count += 1
-                if tid == main_tid:
+                if is_main:
                     in_slice_main += 1
 
-        if sample_every and (hi - i) % sample_every == 0:
+        if i == next_sample:
             timeline.append(
                 TimelineSample(hi - i, in_slice_count, processed_main, in_slice_main)
             )
+            next_sample -= sample_every
 
-    if sample_every:
+    if sampling:
         timeline.append(
             TimelineSample(hi - lo, in_slice_count, processed_main, in_slice_main)
         )

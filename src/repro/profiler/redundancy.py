@@ -29,12 +29,17 @@ pipeline's savings directly (steady-state frames vs. the load frame).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..trace.records import FrameSpan, InstrKind
+from ..trace.records import FrameSpan, InstrKind, TraceRecord, collector_paused
 from ..trace.store import TraceStore
-from .api import Profiler
+from .api import Profiler, resolve_engine
 from .criteria import Criterion, SlicingCriteria
+from .epoch import SliceFrontier, run_epoch
+
+#: Records in the first chunk a frame's walk takes below the frame's
+#: begin; every further chunk doubles.
+FIRST_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -149,18 +154,99 @@ def _stability_pass(store: TraceStore) -> Tuple[List[int], bytearray]:
     return prev_exec, stable
 
 
+def _holds_ret_in(frontier: SliceFrontier, begin: int, end: int) -> bool:
+    """Whether an invocation in ``frontier`` returns at an index in
+    ``[begin, end]``."""
+    return any(
+        begin <= frame[1] <= end for _tid, stack in frontier.stacks for frame in stack
+    )
+
+
+def bounded_frame_flags(
+    records: Sequence[TraceRecord],
+    frames: Sequence[Tuple[FrameSpan, SlicingCriteria]],
+    deps_of,
+) -> List[bytearray]:
+    """Each frame's in-span slice flags, walking only as far as they need.
+
+    ``frames`` pairs complete spans with criteria whose points all lie in
+    the span and that seed no syscall, as :func:`frame_pixel_criteria`
+    makes them (``ValueError`` otherwise).  Entry ``k`` of the result
+    holds the flags of records ``[begin, end]`` of frame ``k`` that a
+    full sequential slice on its criteria sets (control and call-site
+    dependences on).  Every walk is a :func:`~.epoch.run_epoch` call
+    chained from the exit frontier of the one above it, which is the
+    sequential walk cut into pieces (docs/incremental-slicing.md):
+
+    1. Above a frame no record can join its slice, so the walk from the
+       trace end down to ``end + 1`` is seedless and its state there does
+       not depend on the frame.  One seedless chain, cut at each frame's
+       ``end + 1``, serves every frame.
+    2. The frame's own records run from that frontier, with its criteria.
+    3. Below ``begin`` an in-span flag can change only on the RET of an
+       invocation open at ``begin``: it joins when the invocation's CALL
+       is reached with the invocation needed.  The walk goes on down in
+       chunks of :data:`FIRST_CHUNK` records, doubling, while the
+       frontier still holds such an invocation, and takes the in-span
+       RETs from each chunk's ``extra``.
+
+    The walks run with the cyclic collector paused, as
+    :meth:`Profiler.slice` runs.
+    """
+    results: List[bytearray] = [bytearray()] * len(frames)
+    seedless = SliceFrontier.empty()
+    top = len(records)
+    by_end = sorted(range(len(frames)), key=lambda k: frames[k][0].end, reverse=True)
+    with collector_paused():
+        for k in by_end:
+            span, criteria = frames[k]
+            begin, end = span.begin, span.end
+            crit_by_index = criteria.by_index()
+            if criteria.include_syscalls or not all(
+                begin <= i <= end for i in crit_by_index
+            ):
+                raise ValueError(
+                    f"criteria {criteria.name!r} seed outside frame "
+                    f"{span.frame_id} [{begin}, {end}]"
+                )
+            if end + 1 < top:
+                seedless = run_epoch(
+                    records, end + 1, top, seedless, {}, False, None, deps_of
+                ).frontier
+                top = end + 1
+            epoch = run_epoch(
+                records, begin, end + 1, seedless, crit_by_index, False, end, deps_of
+            )
+            flags = bytearray(epoch.flags)
+            frontier, lo, chunk = epoch.frontier, begin, FIRST_CHUNK
+            while lo > 0 and _holds_ret_in(frontier, begin, end):
+                below = max(0, lo - chunk)
+                epoch = run_epoch(
+                    records, below, lo, frontier, crit_by_index, False, end, deps_of
+                )
+                for ret_index, _callee_fn in epoch.extra:
+                    if begin <= ret_index <= end:
+                        flags[ret_index - begin] = 1
+                frontier, lo, chunk = epoch.frontier, below, chunk * 2
+            results[k] = flags
+    return results
+
+
 def analyze_frames(store: TraceStore, engine: str = "auto") -> RedundancyReport:
     """Per-frame pixel slices plus redundant/fresh classification.
 
-    ``engine`` names the engine of every per-frame slice; the default
-    ``"auto"`` resolves per slice as :meth:`Profiler.slice` does (a
-    columnar trace with a stored index slices vectorized, a row store
-    sequential).  ``engine="incremental"`` turns the F independent full
-    slices into one streaming pass: every per-frame query extends the
-    profiler's shared
-    checkpoint, so each seedless region's backward run is paid once and
-    later frames reuse it (same flags, byte for byte — the split is
-    engine-invariant).
+    ``engine`` names the engine of the per-frame slices; the default
+    ``"auto"`` resolves as :meth:`Profiler.slice` does (a columnar trace
+    with a stored index slices vectorized, a row store sequential).  On
+    the sequential engine every frame is sliced by a bounded walk
+    (:func:`bounded_frame_flags`): its own span, its share of one
+    seedless walk down from the trace end, and below the span only as
+    far as the invocations open at its begin reach.  That gives the
+    in-span flags a full slice per frame gives, byte for byte.
+    ``engine="incremental"`` runs every per-frame query against the
+    profiler's shared checkpoint, so each seedless region's backward run
+    is paid once and later frames reuse it (same flags, byte for byte —
+    the split is engine-invariant).
 
     Raises ``ValueError`` when the trace records no complete frame epochs
     (i.e. it predates the incremental pipeline's frame markers).
@@ -173,34 +259,41 @@ def analyze_frames(store: TraceStore, engine: str = "auto") -> RedundancyReport:
         )
     profiler = Profiler(store)
     prev_exec, stable = _stability_pass(store)
-    records = list(store.records())
+    records = store.records()
+    frames = [(span, frame_pixel_criteria(store, span)) for span in spans]
+    sliced = [(span, criteria) for span, criteria in frames if criteria.criteria]
+    if (resolve_engine(store) if engine == "auto" else engine) == "sequential":
+        deps_of = profiler.control_dependence_index().deps_of
+        in_span = bounded_frame_flags(records, sliced, deps_of)
+    else:
+        in_span = [
+            profiler.slice(criteria, engine=engine).flags[span.begin : span.end + 1]
+            for span, criteria in sliced
+        ]
+    sliced_flags = iter(in_span)
     report = RedundancyReport()
-    for span in spans:
-        criteria = frame_pixel_criteria(store, span)
-        if criteria.criteria:
-            result = profiler.slice(criteria, engine=engine)
-            flags = result.flags
-        else:
-            flags = bytearray(len(records))
+    for span, criteria in frames:
+        begin = span.begin
+        flags = next(sliced_flags) if criteria.criteria else bytes(span.n_records())
         total = span.n_records()
         in_slice = 0
         redundant = 0
-        for i in range(span.begin, span.end + 1):  # type: ignore[operator]
-            if flags[i]:
+        for i in range(begin, span.end + 1):  # type: ignore[operator]
+            if flags[i - begin]:
                 in_slice += 1
                 continue
             rec = records[i]
             if (
                 rec.kind == InstrKind.OP
                 and stable[i]
-                and 0 <= prev_exec[i] < span.begin
+                and 0 <= prev_exec[i] < begin
             ):
                 redundant += 1
         report.frames.append(
             FrameRedundancy(
                 frame_id=span.frame_id,
                 kind=span.kind,
-                begin=span.begin,
+                begin=begin,
                 end=span.end,  # type: ignore[arg-type]
                 total=total,
                 in_slice=in_slice,

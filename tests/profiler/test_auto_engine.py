@@ -20,6 +20,7 @@ from repro.profiler.slicer import SlicerOptions
 
 from ..conformance.checks import REQUESTS, assert_auto_request
 from ..conformance.inputs import OPTIONS, SOURCES, open_source, queries, trace
+from .frames_reference import analyze_frames_reference
 
 NAME = "frame-7"
 
@@ -87,7 +88,11 @@ def test_every_public_default_is_auto(source_paths):
 
 
 def test_analyze_frames_auto_matches_sequential(source_paths):
-    want = analyze_frames(trace(NAME), engine="sequential")
+    # Both the default and engine="sequential" take the bounded per-frame
+    # walks on a row store, so the report is checked against the full
+    # per-frame slices they replaced.
+    want = analyze_frames_reference(trace(NAME))
+    assert analyze_frames(trace(NAME), engine="sequential") == want
     assert analyze_frames(trace(NAME)) == want
     for source in SOURCES[1:]:
         assert analyze_frames(open_source(NAME, source, source_paths)) == want, source
