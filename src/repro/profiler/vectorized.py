@@ -17,11 +17,12 @@ edges with batch array joins over the columnar trace:
   enclosing CALL is a single array gather.
 
 Every edge points from a record to a strictly *earlier* record, so the
-transitive closure needs exactly one pass over the edge stream sorted by
-descending source: when the stream reaches source ``s``, every path into
-``s`` has already been applied.  The deduplicated, descending-sorted
-stream is what a v3 file caches in its ``EDGE`` section — a cold slice
-then skips straight to the sweep.
+transitive closure is one sweep down the edge stream sorted by
+descending source, in blocks of source records: a block's edges that
+stay inside it are walked one by one, the rest fire as one array
+scatter (:func:`_closure`).  The deduplicated, descending-sorted stream
+is what a v3 file caches in its ``EDGE`` section — a cold slice then
+skips straight to the sweep.
 
 Equivalence with the liveness formulation is argued in
 :mod:`.oracle` and enforced by the conformance matrix in
@@ -32,7 +33,7 @@ timelines and join reasons come from the sequential engine.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -412,31 +413,51 @@ def _resolve_seeds(
     return distinct(np.concatenate(seeds))
 
 
-#: Edges :func:`_closure` turns into Python ints at a time: bounds the
-#: memory of the walk (a full ``.tolist()`` of bing's 429,710-edge stream
-#: holds two lists of that many ints) without slowing it.
-CLOSURE_CHUNK = 1 << 16
+#: Source records per block of :func:`_closure`.  Only one block's
+#: in-block edges are Python ints at a time, so it bounds the walk's
+#: memory.  On bing, blocks of 256-2048 records walk equally fast;
+#: larger ones walk more edges one by one and are slower.
+CLOSURE_BLOCK = 1 << 10
 
 
 def _closure(
-    n: int, seeds: Iterable[int], src: np.ndarray, tgt: np.ndarray
+    n: int, seeds: np.ndarray, src: np.ndarray, tgt: np.ndarray
 ) -> bytearray:
-    """Single-pass reachability over the descending-source edge stream.
+    """Reachability over the descending-source edge stream, by blocks.
 
-    Correct because every edge targets a strictly lower index: by the
-    time the stream reaches source ``s``, all edges into ``s`` (whose
-    sources are > ``s``) have already been applied, so ``flags[s]`` is
-    final when its out-edges fire.  The stream is walked in
-    :data:`CLOSURE_CHUNK`-edge chunks, in order.
+    The sources are cut into blocks of :data:`CLOSURE_BLOCK` records,
+    visited from the highest down; the stream holds each block's edges
+    in one run.  Every edge targets a strictly lower record, so when a
+    block starts, every edge from a higher block has been applied and
+    the block's flags can still rise only through its own edges.  The
+    edges whose target lies inside the block are walked in stream order
+    (descending source), so each source's flag is final before its own
+    edges fire.  Then the block's flags are final, and its edges to
+    lower blocks fire as one gather and scatter.  A block with no flag
+    set has nothing to fire.  The flags are those of one walk over the
+    whole stream.
     """
     flags = bytearray(n)
-    for s in seeds:
-        flags[s] = 1
-    for lo in range(0, len(src), CLOSURE_CHUNK):
-        hi = lo + CLOSURE_CHUNK
-        for s, t in zip(src[lo:hi].tolist(), tgt[lo:hi].tolist()):
-            if flags[s]:
-                flags[t] = 1
+    view = np.frombuffer(flags, np.uint8)  # writes through to ``flags``
+    view[seeds] = 1
+    block = CLOSURE_BLOCK
+    # Cuts at every multiple of the block size from n (rounded up) down
+    # to 0.  The edges with a source >= a cut are a prefix of the
+    # stream; the reversed view ascends, and searchsorted does not copy it.
+    cuts = np.arange(-(-n // block) * block, -1, -block)
+    ends = (len(src) - np.searchsorted(src[::-1], cuts)).tolist()
+    bounds = cuts.tolist()
+    for hi, lo, first, last in zip(bounds, bounds[1:], ends, ends[1:]):
+        if first == last or not view[lo:hi].any():
+            continue
+        s = src[first:last]
+        t = tgt[first:last]
+        inside = t >= lo
+        for x, y in zip(s[inside].tolist(), t[inside].tolist()):
+            if flags[x]:
+                flags[y] = 1
+        below = ~inside
+        view[t[below][view[s[below]] != 0]] = 1
     return flags
 
 
@@ -532,7 +553,7 @@ class VectorizedSlicer:
         seeds = _resolve_seeds(
             cols, crit_by_index, criteria.include_syscalls, criteria.window_end
         )
-        flags = _closure(n, seeds.tolist(), src, tgt)
+        flags = _closure(n, seeds, src, tgt)
         if options.call_site_dependences:
             _flag_needed_rets(flags, cols.kind != _RET, inv_id, inv_call, inv_ret)
 

@@ -1,7 +1,8 @@
-"""What repeated queries on one trace build, and the chunked closure walk.
+"""What repeated queries on one trace build, and the blocked closure walk.
 
-* the vectorized closure walks the edge stream in fixed-size chunks and
-  must give the flags of the one-list walk;
+* the vectorized closure walks the edge stream in blocks of source
+  records and must give the flags of the one-list walk, on stored
+  indexes and on synthetic streams, within a memory bound;
 * a :class:`~repro.profiler.Profiler` converts a row store to columns
   once, however many vectorized queries it answers;
 * on a columnar trace the forward pass and the categorization read
@@ -11,7 +12,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.profiler import Profiler
 from repro.profiler import vectorized
@@ -26,7 +32,8 @@ CRITERIA = ("pixels", "syscalls", "pixels+syscalls")
 
 
 def one_list_closure(n, seeds, src, tgt):
-    """The closure as it was before chunking: one list per edge column."""
+    """The reference closure: one walk over the whole stream, one list
+    per edge column."""
     flags = bytearray(n)
     for s in seeds:
         flags[s] = 1
@@ -43,23 +50,116 @@ def as_ucwa3(store) -> ColumnarTrace:
     return parse_columnar(serialize_columnar(cols))
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("block", [1, 5, 64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_chunked_closure_matches_the_one_list_walk(monkeypatch, chunk, seed):
+def test_chunked_closure_matches_the_one_list_walk(monkeypatch, block, seed):
+    """On a stored index; with blocks of one record every edge takes the
+    array path."""
     store = random_trace(seed, target_records=3_000)
     cols = as_ucwa3(store)
     index = cols.index
-    assert index.n_edges() > 4 * chunk
+    assert len(cols) > 4 * block
     criteria = pixel_criteria(cols)
     seeds = vectorized._resolve_seeds(
         cols, criteria.by_index(), criteria.include_syscalls, criteria.window_end
     ).tolist()
     want = one_list_closure(len(cols), seeds, index.edge_src, index.edge_tgt)
-    monkeypatch.setattr(vectorized, "CLOSURE_CHUNK", chunk)
+    monkeypatch.setattr(vectorized, "CLOSURE_BLOCK", block)
     got = vectorized._closure(len(cols), seeds, index.edge_src, index.edge_tgt)
     assert got == want
     sequential = Profiler(store).slice(criteria, engine="sequential")
     assert bytes(Profiler(cols).slice(criteria).flags) == bytes(sequential.flags)
+
+
+def edge_stream(rng, n, n_edges, far_share):
+    """A deduplicated stream of ``n_edges`` or fewer edges over ``n``
+    records, sorted by descending source, every target below its source:
+    most edges reach a few records down, ``far_share`` of them anywhere
+    below."""
+    if n < 2 or not n_edges:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    src = rng.integers(1, n, n_edges)
+    near = np.minimum(rng.geometric(0.1, n_edges), src)
+    far = rng.integers(0, src) + 1  # uniform in [1, src]
+    tgt = src - np.where(rng.random(n_edges) < far_share, far, near)
+    key = np.unique(src * (n + 1) + tgt)[::-1]
+    return key // (n + 1), key % (n + 1)
+
+
+def assert_blocks_match_the_one_list_walk(n, seeds, src, tgt):
+    assert np.all(tgt < src) and np.all(np.diff(src) <= 0)
+    assert len(np.unique(src * (n + 1) + tgt)) == len(src)
+    want = one_list_closure(n, seeds, src, tgt)
+    for block in (1, 2, 7, 64, 1024, n + 1):
+        with mock.patch.object(vectorized, "CLOSURE_BLOCK", block):
+            got = vectorized._closure(n, np.array(seeds, np.int64), src, tgt)
+        assert got == want, f"block={block}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # Sizes either side of the block sizes tried, up to about 3,000.
+    n=st.sampled_from([0, 1, 2, 5, 63, 64, 65, 700, 1023, 1024, 1025, 2049, 3000]),
+    edges_per_record=st.sampled_from([0, 0.5, 1, 2, 4]),
+    far_share=st.sampled_from([0, 0.1, 0.5, 1]),
+    n_seeds=st.integers(min_value=0, max_value=30),
+    ends=st.sampled_from([(), (0,), (-1,), (0, -1)]),
+    rng_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_blocked_closure_matches_the_one_list_walk_on_synthetic_streams(
+    n, edges_per_record, far_share, n_seeds, ends, rng_seed
+):
+    rng = np.random.default_rng(rng_seed)
+    src, tgt = edge_stream(rng, n, int(n * edges_per_record), far_share)
+    seeds = rng.integers(0, n, n_seeds).tolist() if n else []
+    seeds += [end % n for end in ends if n]
+    assert_blocks_match_the_one_list_walk(n, seeds, src, tgt)
+
+
+def jump_stream(n, stride):
+    """Every record above ``stride`` reaches the record ``stride`` below
+    it and record 0, so edges cross many blocks."""
+    src = np.repeat(np.arange(n - 1, stride, -1, dtype=np.int64), 2)
+    tgt = src - stride
+    tgt[1::2] = 0
+    return src, tgt
+
+
+@pytest.mark.parametrize(
+    "n, seeds, stream",
+    [
+        (0, [], (np.zeros(0, np.int64), np.zeros(0, np.int64))),
+        (50, [3, 49], (np.zeros(0, np.int64), np.zeros(0, np.int64))),
+        (500, [], jump_stream(500, 97)),
+        (500, [0], jump_stream(500, 97)),
+        (500, [499], jump_stream(500, 97)),
+        (500, [0, 499], jump_stream(500, 1)),
+        (2_000, [1_999], jump_stream(2_000, 300)),
+    ],
+    ids=["empty-trace", "no-edges", "no-seeds", "seed-at-0", "seed-at-top",
+         "chain", "long-jumps"],
+)
+def test_blocked_closure_edge_cases(n, seeds, stream):
+    assert_blocks_match_the_one_list_walk(n, seeds, *stream)
+
+
+def test_blocked_closure_memory_stays_small():
+    """A stream of bing's size (about 120,000 records and 425,000 edges)
+    walks in under 2 MB: one block's in-block edges become Python ints,
+    never the whole stream (a ``.tolist()`` of bing's holds 34 MB)."""
+    rng = np.random.default_rng(24)
+    n = 120_000
+    src, tgt = edge_stream(rng, n, 440_000, 0.4)
+    assert 400_000 < len(src) < 440_000
+    seeds = np.nonzero(rng.random(n) < 0.02)[0]
+    tracemalloc.start()
+    try:
+        flags = vectorized._closure(n, seeds, src, tgt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, f"closure peak {peak / 1e6:.2f} MB"
+    assert flags == one_list_closure(n, seeds.tolist(), src, tgt)
 
 
 def test_vectorized_queries_on_a_row_store_convert_it_once(monkeypatch):
