@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ...machine.memory import MemRegion
 from ...machine.tracer import TILE_MARKER
@@ -44,6 +44,33 @@ class RasterTask:
     low_res: bool = False
 
 
+class DrawQuad(NamedTuple):
+    """One drawn tile of a :class:`DrawPlan`: the cells its draw touches."""
+
+    tile: Tile
+    #: ``draw_quad`` reads: the tile's first 8 pixel cells and the
+    #: layer's property cell
+    reads: Tuple[int, ...]
+    #: ``draw_quad`` writes: the framebuffer cells the visible part covers
+    writes: Tuple[int, ...]
+    #: ``glTexSubImage2D`` reads (even tile columns only), else None
+    upload: Optional[Tuple[int, ...]]
+
+
+class DrawPlan(NamedTuple):
+    """What :meth:`CompositorHost.draw_frame` emits, worked out once.
+
+    Valid while the host's :meth:`~CompositorHost._plan_key` equals
+    ``key``; a replay emits the same records as a draw worked out afresh.
+    """
+
+    key: Tuple[object, ...]
+    #: per layer, in draw order: its property cell and its drawn tiles
+    layers: Tuple[Tuple[int, Tuple[DrawQuad, ...]], ...]
+    #: the frame's semantic digest (see :meth:`CompositorHost.draw_frame`)
+    digest: str
+
+
 class CompositorHost:
     """cc::LayerTreeHostImpl equivalent for the tab."""
 
@@ -63,6 +90,16 @@ class CompositorHost:
         #: value-based (geometry + colors + content, no cell ids), so two
         #: runs draw identical pixels iff their digest lists are equal.
         self.frame_digests: List[str] = []
+        #: bumped by :meth:`commit`, which replaces the layer tree
+        self._tree_version = 0
+        #: the plan the last draw replayed, and how many were built
+        self._plan: Optional[DrawPlan] = None
+        self._plans_built = 0
+
+    @property
+    def plans_built(self) -> int:
+        """Draw plans built so far; the other ``frame_count`` draws replayed one."""
+        return self._plans_built
 
     # ------------------------------------------------------------------ #
     # Commit (compositor thread)                                         #
@@ -72,6 +109,7 @@ class CompositorHost:
         """Adopt a new layer tree from the main thread."""
         tracer = self.ctx.tracer
         self.layers = []
+        self._tree_version += 1
         with tracer.function("cc::LayerTreeHostImpl::CommitComplete"), self.ctx.lock(
             "cc:lock:tree"
         ).held():
@@ -295,8 +333,7 @@ class CompositorHost:
                 if not blocks:
                     continue
                 self._skia_draw(item, cc_cell, blocks)
-            tile.rastered = True
-            tile.dirty = False
+            layer.mark_rastered(tile)
             if task.presented:
                 # The paper's slicing criterion: the pixels buffer at the
                 # point it holds final displayed values.
@@ -378,30 +415,29 @@ class CompositorHost:
     # ------------------------------------------------------------------ #
 
     def draw_frame(self) -> Tuple[int, ...]:
-        """Draw visible tiles into the framebuffer; returns its cells."""
+        """Draw visible tiles into the framebuffer; returns its cells.
+
+        Replays the draw plan (:meth:`_plan_frame`), built afresh only
+        when its key (:meth:`_plan_key`) has changed since the last draw:
+        ``DrawLayers`` under the tree lock, one ``layer_visible`` decision
+        per layer, then per drawn tile a ``TILE_MARKER`` if the tile is
+        not marked yet (checked here, so marking needs no new plan), the
+        ``draw_quad`` and, on even columns, the texture upload.  Every
+        draw goes through the tracer, so records, clock ticks and
+        ``tile_buffers`` are those of a draw worked out afresh.
+        """
+        plan = self._plan
+        if plan is None or plan.key != self._plan_key():
+            plan = self._plan = self._plan_frame()
+            self._plans_built += 1
         tracer = self.ctx.tracer
-        viewport = self.viewport_rect()
         self.frame_count += 1
-        snapshot: List[Tuple] = [("scroll", round(self.scroll_y, 3))]
         with tracer.function("cc::LayerTreeHostImpl::DrawLayers"), self.ctx.lock(
             "cc:lock:tree"
         ).held():
-            for order, layer in enumerate(self.layers):
-                tracer.compare_and_branch(
-                    "layer_visible", reads=(layer.property_cell,)
-                )
-                if not self._effective_bounds(layer).intersects(viewport):
-                    continue
-                for tile in layer.tiles.values():
-                    effective = self._effective_tile_rect(layer, tile)
-                    content = effective.intersection(self._effective_bounds(layer))
-                    visible_part = (
-                        content.intersection(viewport) if content is not None else None
-                    )
-                    if visible_part is None or not tile.rastered:
-                        continue
-                    if self.occluded(layer, visible_part):
-                        continue
+            for property_cell, quads in plan.layers:
+                tracer.compare_and_branch("layer_visible", reads=(property_cell,))
+                for tile, reads, writes, upload in quads:
                     if not tile.marked:
                         # A prepainted tile scrolled into view: its pixels
                         # are now going to the display; anchor the
@@ -409,22 +445,64 @@ class CompositorHost:
                         # draw-quad upload).
                         tracer.marker(TILE_MARKER, cells=tile.pixel_cells())
                         tile.marked = True
-                    snapshot.append(self._tile_snapshot(order, layer, tile, visible_part))
-                    tracer.op(
-                        "draw_quad",
-                        reads=tile.pixel_cells()[:8] + (layer.property_cell,),
-                        writes=self._fb_cells_for(visible_part, viewport),
-                    )
+                    tracer.op("draw_quad", reads=reads, writes=writes)
                     # Texture upload to the GPU process: reads pixels,
                     # writes nothing the renderer reads back.
-                    if tile.col % 2 == 0:
-                        self.ctx.plain_helper(
-                            "glTexSubImage2D", reads=tile.pixel_cells()[8:10]
-                        )
+                    if upload is not None:
+                        self.ctx.plain_helper("glTexSubImage2D", reads=upload)
             self.ctx.maybe_debug_event()
-        digest = hashlib.sha256(repr(snapshot).encode()).hexdigest()
-        self.frame_digests.append(digest)
+        self.frame_digests.append(plan.digest)
         return self.framebuffer.all_cells()
+
+    def _plan_key(self) -> Tuple[object, ...]:
+        """Everything a draw plan depends on that can change.
+
+        The viewport size, paint-layer geometry and tile grids are fixed
+        once built; the layer list changes only through :meth:`commit`,
+        and each layer's items and drawable tiles only where its
+        ``version`` moves.  The exact scroll offset is keyed, not the
+        rounded one the snapshot keeps.
+        """
+        return (
+            self.scroll_y,
+            self._tree_version,
+            tuple(layer.version for layer in self.layers),
+        )
+
+    def _plan_frame(self) -> DrawPlan:
+        """Work out what a draw emits: visible, unoccluded, rastered tiles
+        in draw order, their cells, and the frame's value snapshot digest.
+        Emits no records."""
+        viewport = self.viewport_rect()
+        snapshot: List[Tuple] = [("scroll", round(self.scroll_y, 3))]
+        layers = []
+        for order, layer in enumerate(self.layers):
+            quads: List[DrawQuad] = []
+            bounds = self._effective_bounds(layer)
+            if bounds.intersects(viewport):
+                for tile in layer.tiles.values():
+                    effective = self._effective_tile_rect(layer, tile)
+                    content = effective.intersection(bounds)
+                    visible_part = (
+                        content.intersection(viewport) if content is not None else None
+                    )
+                    if visible_part is None or not tile.rastered:
+                        continue
+                    if self.occluded(layer, visible_part):
+                        continue
+                    snapshot.append(self._tile_snapshot(order, layer, tile, visible_part))
+                    pixels = tile.pixel_cells()
+                    quads.append(
+                        DrawQuad(
+                            tile,
+                            pixels[:8] + (layer.property_cell,),
+                            self._fb_cells_for(visible_part, viewport),
+                            pixels[8:10] if tile.col % 2 == 0 else None,
+                        )
+                    )
+            layers.append((layer.property_cell, tuple(quads)))
+        digest = hashlib.sha256(repr(snapshot).encode()).hexdigest()
+        return DrawPlan(self._plan_key(), tuple(layers), digest)
 
     def _tile_snapshot(
         self, order: int, layer: CompositedLayer, tile: Tile, visible_part: Rect
@@ -438,6 +516,8 @@ class CompositorHost:
         pixel-identical runs.  Pure bookkeeping: emits no trace records,
         so existing trace goldens are unaffected.  Each item's values
         come from :meth:`DisplayItem.snapshot_values`, built once per item.
+        Taken only when a draw plan is built (:meth:`_plan_frame`); the
+        plan keeps the digest of the frame's snapshots.
         """
         opacity = round(layer.paint.opacity, 4)
         items = []

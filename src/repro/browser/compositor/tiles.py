@@ -94,12 +94,22 @@ def _cells_spanned(a: float, b: float, first: int, last: int) -> range:
 
 
 class CompositedLayer:
-    """cc-side twin of a paint layer, with its backing-store tile grid."""
+    """cc-side twin of a paint layer, with its backing-store tile grid.
+
+    :attr:`version` counts the changes to what a draw reads from the
+    layer: :meth:`commit_items`, :meth:`splice_items` and each tile's
+    first raster (:meth:`mark_rastered`).  The compositor replays its
+    draw plan while no layer's version has moved (see
+    ``CompositorHost.draw_frame``); the paint layer's geometry and the
+    tile grid are fixed when the layer is built.
+    """
 
     def __init__(self, ctx: EngineContext, paint_layer: PaintLayer) -> None:
         self.ctx = ctx
         self.paint = paint_layer
         self.tiles: Dict[Tuple[int, int], Tile] = {}
+        #: bumped by every change to what a draw reads from this layer
+        self.version = 0
         #: cc-side copies of the display items (committed from the main
         #: thread); raster reads these, not the blink-side originals.
         #: Changed only through :meth:`commit_items` and :meth:`splice_items`.
@@ -144,6 +154,7 @@ class CompositedLayer:
         """Replace the committed ``(item, cc cell)`` list."""
         self.cc_items = items
         self._tile_items = None
+        self.version += 1
 
     def splice_items(
         self, start: int, n_removed: int, items: List[Tuple[DisplayItem, int]]
@@ -151,6 +162,19 @@ class CompositedLayer:
         """Replace ``cc_items[start : start + n_removed]`` with ``items``."""
         self.cc_items[start : start + n_removed] = items
         self._tile_items = None
+        self.version += 1
+
+    def mark_rastered(self, tile: Tile) -> None:
+        """Record a finished raster of ``tile``.
+
+        Its first raster makes the tile drawable, so it bumps
+        :attr:`version`; a re-raster of a dirty tile changes nothing a
+        draw reads.
+        """
+        if not tile.rastered:
+            tile.rastered = True
+            self.version += 1
+        tile.dirty = False
 
     def items_for_tile(self, tile: Tile) -> CommittedItems:
         """Display items whose rect intersects ``tile``, in commit order."""

@@ -46,8 +46,13 @@ def dump_dom(
 
 def dump_layers(engine: BrowserEngine) -> str:
     """Layer tree with tile/raster/presentation statistics."""
-    lines = ["layer tree (z order, bottom to top):"]
-    for layer in engine.compositor.layers:
+    compositor = engine.compositor
+    lines = [
+        f"frames drawn: {compositor.frame_count}, draw plans built: "
+        f"{compositor.plans_built}",
+        "layer tree (z order, bottom to top):",
+    ]
+    for layer in compositor.layers:
         paint = layer.paint
         owner = paint.owner.element_id or paint.owner.tag if paint.owner else "(root)"
         tiles = list(layer.tiles.values())
