@@ -11,6 +11,7 @@ runtime functions, debug trace events).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from ..machine import AddressSpace, TracedLock, Tracer, VirtualClock
@@ -33,6 +34,17 @@ IO_THREAD = 3
 FIRST_RASTER_THREAD = 4
 #: ThreadPoolForegroundWorker threads (image decode, background parsing)
 FIRST_WORKER_THREAD = 20
+
+
+#: ``plain_helper``'s one label.
+_BODY = ("body",)
+
+
+@lru_cache(maxsize=None)
+def _site_labels(prefix: str, count: int, period: int) -> Tuple[str, ...]:
+    """Labels ``prefix{i % period}`` of ``count`` OPs, one tuple per shape
+    (``Tracer.leaf_call`` memoizes its pcs by the tuple)."""
+    return tuple(f"{prefix}{i % period}" for i in range(count))
 
 
 @dataclass
@@ -208,10 +220,7 @@ class EngineContext:
 
     def libc_memcpy(self, reads, writes, weight: int = 2) -> None:
         """A real data copy: joins the slice whenever its output matters."""
-        tracer = self.tracer
-        with tracer.function("memcpy"):
-            for i in range(weight):
-                tracer.op(f"copy{i}", reads=tuple(reads), writes=tuple(writes))
+        self.tracer.leaf_call("memcpy", _site_labels("copy", weight, weight), reads, writes)
 
     def _malloc_freelist_cell(self) -> int:
         if not hasattr(self, "_freelist_cell"):
@@ -228,16 +237,11 @@ class EngineContext:
         mirrors its caller's, so its usefulness follows the surrounding
         chain.
         """
-        tracer = self.tracer
-        with tracer.function(name):
-            tracer.op("body", reads=tuple(reads), writes=tuple(writes))
+        self.tracer.leaf_call(name, _BODY, reads, writes)
 
     def plain_bulk(self, name: str, weight: int, reads=(), writes=()) -> None:
         """A longer run inside one plain-named function (stdlib loops)."""
-        tracer = self.tracer
-        with tracer.function(name):
-            for i in range(weight):
-                tracer.op(f"it{i % 32}", reads=tuple(reads), writes=tuple(writes))
+        self.tracer.leaf_call(name, _site_labels("it", weight, 32), reads, writes)
 
     # ------------------------------------------------------------------ #
     # Plain-named runtime helpers (uncategorizable functions)            #
@@ -257,7 +261,4 @@ class EngineContext:
         the paper, where only 53-74% of non-slice instructions could be
         categorized.
         """
-        tracer = self.tracer
-        with tracer.function(name):
-            for i in range(weight):
-                tracer.op(f"w{i}", reads=reads, writes=writes)
+        self.tracer.leaf_call(name, _site_labels("w", weight, weight), reads, writes)

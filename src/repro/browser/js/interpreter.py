@@ -47,6 +47,11 @@ _TEMP_RING = 4096
 #: guard against runaway guest loops
 _MAX_STEPS = 5_000_000
 
+#: emit-site labels of the traced parse and compile loops, one per byte
+#: cell modulo 64
+_PARSE_LABELS = tuple(f"tok{i}" for i in range(64))
+_EMIT_LABELS = tuple(f"emit{i}" for i in range(64))
+
 
 class _BreakSignal(Exception):
     pass
@@ -104,12 +109,9 @@ class Interpreter:
         # accumulating into the AST cell so the parse chains backward.
         ast_cell = self.ctx.memory.alloc_cell(f"v8:ast:{name}")
         with tracer.function("v8::Parser::ParseProgram"):
-            for i in range(region.size):
-                tracer.op(
-                    f"tok{i % 64}",
-                    reads=(region.cell(i), ast_cell),
-                    writes=(ast_cell,),
-                )
+            tracer.accumulate(
+                _PARSE_LABELS, range(region.base, region.base + region.size), ast_cell
+            )
             self.ctx.maybe_debug_event()
         self._script_ast_cells[script.script_id] = ast_cell
 
@@ -168,10 +170,7 @@ class Interpreter:
         with tracer.function("v8::Compiler::CompileFunction"):
             head_reads = (first,) if ast_cell is None else (first, ast_cell)
             tracer.op("begin", reads=head_reads, writes=(code_cell,))
-            for i, cell in enumerate(range(first, last + 1)):
-                tracer.op(
-                    f"emit{i % 64}", reads=(cell, code_cell), writes=(code_cell,)
-                )
+            tracer.accumulate(_EMIT_LABELS, range(first, last + 1), code_cell)
         return code_cell
 
     # ------------------------------------------------------------------ #

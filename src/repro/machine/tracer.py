@@ -16,7 +16,8 @@ dynamic CFG construction (paper Section III-A) well-defined.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import cycle
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..trace.records import (
     FRAME_BEGIN_MARKER,
@@ -60,6 +61,9 @@ _OP, _CMP, _BRANCH = InstrKind.OP, InstrKind.CMP, InstrKind.BRANCH
 _CALL, _RET = InstrKind.CALL, InstrKind.RET
 _SYSCALL, _MARKER = InstrKind.SYSCALL, InstrKind.MARKER
 
+#: ``leaf_call``'s memo entry: callee symbol, call pc, op pcs, ret pc.
+_LeafSites = Tuple[int, int, Tuple[int, ...], int]
+
 
 class _Invocation:
     """``with tracer.function(name)``: CALL on entry, RET on exit.
@@ -87,11 +91,22 @@ class Tracer:
 
     Every emit method takes the same path: read the current thread, the
     function on top of its call stack and the site's pc (``_pc`` assigns
-    one to a new site), tick the clock, then append one record built
-    positionally by :func:`~repro.trace.records.new_record` to the
+    one to a new site), then append one record per instruction, built
+    positionally by :func:`~repro.trace.records.new_record`, to the
     store's record list (``TraceStore.append`` is one call more per
     record).  The steps are written out in each method rather than shared
     through a helper, because they run once per traced instruction.
+
+    No emit method touches the clock.  The clock counts this tracer's
+    record list (:meth:`VirtualClock.count_records`): each record
+    appended is one instruction of the thread :meth:`switch` last
+    selected, and :meth:`switch` is the one place the thread changes.
+
+    Two emits cover fixed shapes in one call: :meth:`leaf_call` (a CALL,
+    one OP per label, a RET) and :meth:`accumulate` (a run of OPs whose
+    labels cycle through a tuple).  They memoize their pcs, and fill the
+    memos through ``_pc`` in the order the one-record emits would first
+    see the sites, so a trace does not show which way it was emitted.
     """
 
     def __init__(
@@ -112,11 +127,17 @@ class Tracer:
         self._branch_sites: Dict[Tuple[int, str], Tuple[int, int]] = {}
         self._syscall_sites: Dict[Tuple[int, str], int] = {}
         self._marker_sites: Dict[Tuple[int, str], int] = {}
+        #: (caller, function, labels) -> (callee, call pc, op pcs, ret pc)
+        #: for ``leaf_call``; (fn, labels) -> the pcs of the labels used so
+        #: far, in order, for ``accumulate``
+        self._leaf_sites: Dict[Tuple[int, str, Tuple[str, ...]], _LeafSites] = {}
+        self._run_sites: Dict[Tuple[int, Tuple[str, ...]], List[int]] = {}
         #: tid -> call stack of function symbol ids (root frame first)
         self._stacks: Dict[int, List[int]] = {}
         self._tid: Optional[int] = None
         #: the current thread's call stack (``_stacks[_tid]``)
         self._stack: List[int] = []
+        self.clock.count_records(self._records)
 
     # ------------------------------------------------------------------ #
     # Threads                                                            #
@@ -136,6 +157,7 @@ class Tracer:
         stack = self._stacks.get(tid)
         if stack is None:
             raise KeyError(f"unknown thread {tid}")
+        self.clock.switch(tid)
         self._tid = tid
         self._stack = stack
 
@@ -196,7 +218,6 @@ class Tracer:
         pc = self._sites.get((fn, label))
         if pc is None:
             pc = self._pc(fn, label)
-        self.clock.tick(tid)
         records = self._records
         records.append(
             new_record(
@@ -225,9 +246,7 @@ class Tracer:
             )
         cmp_pc, br_pc = pcs
         records = self._records
-        self.clock.tick(tid)
         records.append(new_record(tid, cmp_pc, _CMP, fn, NO_REGS, _FLAGS_ONLY, tuple(reads)))
-        self.clock.tick(tid)
         records.append(new_record(tid, br_pc, _BRANCH, fn, _FLAGS_ONLY))
 
     # ------------------------------------------------------------------ #
@@ -245,7 +264,6 @@ class Tracer:
         pc = self._sites.get((caller, label))
         if pc is None:
             pc = self._pc(caller, label)
-        self.clock.tick(tid)
         self._records.append(new_record(tid, pc, _CALL, caller))
         self._stack.append(callee)
 
@@ -261,13 +279,73 @@ class Tracer:
         pc = self._sites.get((fn, "$ret"))
         if pc is None:
             pc = self._pc(fn, "$ret")
-        self.clock.tick(tid)
         self._records.append(new_record(tid, pc, _RET, fn))
         stack.pop()
 
     def function(self, name: str, site: Optional[str] = None) -> _Invocation:
         """Context manager bracketing a function invocation."""
         return _Invocation(self, name, site)
+
+    def leaf_call(
+        self,
+        function: str,
+        labels: Tuple[str, ...],
+        reads: Tuple[int, ...] = (),
+        writes: Tuple[int, ...] = (),
+    ) -> None:
+        """Call ``function``, run one OP per label in it, and return.
+
+        The records of ``with self.function(function):`` around one
+        ``self.op(label, reads, writes)`` per label, for a leaf function
+        whose OPs all share their operands.  Callers keep one ``labels``
+        tuple per shape rather than build it per call (the
+        ``EngineContext`` helpers cache theirs).
+        """
+        tid = self._tid
+        if tid is None:
+            raise RuntimeError(_NO_THREAD)
+        caller = self._stack[-1]
+        key = (caller, function, labels)
+        sites = self._leaf_sites.get(key)
+        if sites is None:
+            callee = self.symbols.intern(function)
+            sites = self._leaf_sites[key] = (
+                callee,
+                self._pc(caller, f"call:{function}"),
+                tuple([self._pc(callee, label) for label in labels]),
+                self._pc(callee, "$ret"),
+            )
+        callee, call_pc, pcs, ret_pc = sites
+        reads = tuple(reads)
+        writes = tuple(writes)
+        append = self._records.append
+        append(new_record(tid, call_pc, _CALL, caller))
+        for pc in pcs:
+            append(new_record(tid, pc, _OP, callee, NO_REGS, NO_REGS, reads, writes))
+        append(new_record(tid, ret_pc, _RET, callee))
+
+    def accumulate(self, labels: Tuple[str, ...], cells: Sequence[int], acc: int) -> None:
+        """One OP per cell that folds the cell into cell ``acc``.
+
+        The records of ``self.op(labels[i % len(labels)], reads=(cell,
+        acc), writes=(acc,))`` for the ``i``-th of ``cells``, in order.
+        Only the labels a run reaches get a pc, as the loop would give
+        them.
+        """
+        tid = self._tid
+        if tid is None:
+            raise RuntimeError(_NO_THREAD)
+        fn = self._stack[-1]
+        pcs = self._run_sites.get((fn, labels))
+        if pcs is None:
+            pcs = self._run_sites[fn, labels] = []
+        count = len(cells)
+        if len(pcs) < count and len(pcs) < len(labels):
+            pcs.extend([self._pc(fn, label) for label in labels[len(pcs):count]])
+        writes = (acc,)
+        append = self._records.append
+        for pc, cell in zip(cycle(pcs), cells):
+            append(new_record(tid, pc, _OP, fn, NO_REGS, NO_REGS, (cell, acc), writes))
 
     # ------------------------------------------------------------------ #
     # Syscalls and markers                                               #
@@ -293,7 +371,6 @@ class Tracer:
         pc = self._syscall_sites.get((fn, name))
         if pc is None:
             pc = self._syscall_sites[fn, name] = self._pc(fn, f"syscall:{name}")
-        self.clock.tick(tid)
         records = self._records
         records.append(
             new_record(
@@ -319,7 +396,6 @@ class Tracer:
         if pc is None:
             pc = self._marker_sites[fn, tag] = self._pc(fn, f"marker:{tag}")
         cells = tuple(cells)
-        self.clock.tick(tid)
         records = self._records
         records.append(
             new_record(tid, pc, _MARKER, fn, NO_REGS, NO_REGS, cells, NO_MEM, None, tag)

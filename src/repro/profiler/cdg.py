@@ -77,46 +77,3 @@ def build_index(trace: Iterable) -> ControlDependenceIndex:
     from .cfg import build_cfgs
 
     return ControlDependenceIndex(build_cfgs(trace))
-
-
-# --------------------------------------------------------------------- #
-# Stable storage                                                        #
-# --------------------------------------------------------------------- #
-
-_CDG_HEADER = b"UCWACDG1\n"
-
-
-def save_index(index: ControlDependenceIndex, path) -> None:
-    """Persist the pc -> branch-pcs map (paper Section III-A: the CDG may
-    be stored in stable storage and reused across slicing criteria)."""
-    import struct
-    from pathlib import Path
-
-    chunks = [_CDG_HEADER, struct.pack("<I", len(index._cd))]
-    for pc, branches in index._cd.items():
-        chunks.append(struct.pack("<QH", pc, len(branches)))
-        chunks.append(struct.pack(f"<{len(branches)}Q", *branches))
-    Path(path).write_bytes(b"".join(chunks))
-
-
-def load_index(path) -> ControlDependenceIndex:
-    """Load a persisted control-dependence index."""
-    import struct
-    from pathlib import Path
-
-    data = Path(path).read_bytes()
-    if not data.startswith(_CDG_HEADER):
-        raise ValueError(f"{path}: not a CDG file")
-    pos = len(_CDG_HEADER)
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    cd = {}
-    for _ in range(count):
-        pc, n = struct.unpack_from("<QH", data, pos)
-        pos += 10
-        branches = struct.unpack_from(f"<{n}Q", data, pos)
-        pos += 8 * n
-        cd[pc] = tuple(branches)
-    index = ControlDependenceIndex({})
-    index._cd = cd
-    return index

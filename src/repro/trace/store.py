@@ -22,6 +22,7 @@ import struct
 import threading
 import time
 from collections import Counter
+from itertools import compress
 from operator import attrgetter
 from pathlib import Path
 from typing import (
@@ -119,14 +120,13 @@ class TraceStore:
         return record_columns(self._records)
 
     def thread_slice_counts(self, flags) -> Tuple[dict, dict]:
-        """Per-thread (total, in-slice) record counts under slice ``flags``."""
-        totals: dict = {}
-        sliced: dict = {}
-        for i, rec in enumerate(self._records):
-            totals[rec.tid] = totals.get(rec.tid, 0) + 1
-            if flags[i]:
-                sliced[rec.tid] = sliced.get(rec.tid, 0) + 1
-        return totals, sliced
+        """Per-thread (total, in-slice) record counts under slice ``flags``.
+
+        Both are counted at C speed over one list of the records' tids;
+        each dict lists its threads in the order they first appear.
+        """
+        tids = list(map(attrgetter("tid"), self._records))
+        return Counter(tids), Counter(compress(tids, flags))
 
     def unsliced_fn_counts(self, flags) -> Dict[int, int]:
         """Per-function count of the records outside the slice."""

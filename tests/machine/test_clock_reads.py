@@ -1,12 +1,10 @@
 """Reads of the virtual clock between ticks match the reference loop exactly.
 
-``VirtualClock.tick`` keeps the busy total of the key it last added to
-outside the per-key dict and stores it back only when a tick lands on
-another key or something reads.  This checks every read
-(``utilization_series``, ``busy_time_us``, ``_busy``) taken at random
-points between ticks and idles against a clock that updates its dict on
-every step, with exact float equality: Figure 2 is plotted from these
-reads.
+This checks every read (``utilization_series``, ``busy_time_us``,
+``_busy``) taken at random points between ticks and idles against a
+clock that updates its dict on every step, with exact float equality:
+Figure 2 is plotted from these reads.  Reads between the records a
+tracer appends are checked in ``test_tracer_reference.py``.
 """
 
 import random

@@ -1,18 +1,16 @@
-"""Tests for slice explanations, slicer options, and CDG persistence."""
+"""Tests for slice explanations and slicer options."""
 
 import pytest
 
 from repro.machine import Tracer
 from repro.machine.tracer import TILE_MARKER
 from repro.profiler import (
-    BackwardSlicer,
     Profiler,
     SlicerOptions,
     custom_criteria,
     pixel_criteria,
     syscall_criteria,
 )
-from repro.profiler.cdg import load_index, save_index
 from repro.profiler.explain import chain_heads, explain_record, reason_summary
 
 
@@ -132,35 +130,3 @@ def test_options_disable_call_sites():
     assert all(not reduced.flags[i] for i in producer_calls)
     # The producer's body still joins via dataflow.
     assert reduced.flags[i_val]
-
-
-def test_cdg_round_trip(tmp_path):
-    tracer, *_ = traced_program()
-    prof = Profiler(tracer.store)
-    index = prof.control_dependence_index()
-    path = tmp_path / "trace.cdg"
-    save_index(index, path)
-    loaded = load_index(path)
-    assert len(loaded) == len(index)
-    for pc in list(index._cd):
-        assert loaded.deps_of(pc) == index.deps_of(pc)
-
-
-def test_loaded_cdg_produces_identical_slice(tmp_path):
-    tracer, *_ = traced_program()
-    store = tracer.store
-    prof = Profiler(store)
-    index = prof.control_dependence_index()
-    path = tmp_path / "trace.cdg"
-    save_index(index, path)
-    loaded = load_index(path)
-    original = BackwardSlicer(store, index, pixel_criteria(store)).run()
-    replayed = BackwardSlicer(store, loaded, pixel_criteria(store)).run()
-    assert bytes(original.flags) == bytes(replayed.flags)
-
-
-def test_cdg_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.cdg"
-    path.write_bytes(b"nope")
-    with pytest.raises(ValueError):
-        load_index(path)

@@ -19,6 +19,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+import dataclasses
 import struct
 
 from repro.trace.columnar import (
@@ -267,6 +268,28 @@ def test_rejects_missing_required_section(valid_v3, tmp_path):
     tag, offset, length = struct.unpack_from("<4sQQ", data, table_at)
     struct.pack_into("<4sQQ", data, table_at, b"XXXX", offset, length)
     _expect_value_error(tmp_path, data, "missing.ucwa")
+
+
+@pytest.mark.parametrize("bad", ["zero", "past-record-0"])
+def test_rejects_edge_deltas_out_of_range(bad, tmp_path):
+    """Every stored edge points strictly down: an ``EDGE`` delta of 0 (a
+    self edge) or one larger than its source index (a target below record
+    0) is rejected when the file loads."""
+    from repro.profiler.vectorized import attach_index
+
+    cols = ColumnarTrace.from_store(random_trace(2, target_records=600))
+    attach_index(cols)
+    index = cols.index
+    # The writer stores src - tgt; the first stored edge has the highest source.
+    tgt = index.edge_tgt.copy()
+    tgt[0] = index.edge_src[0] if bad == "zero" else -1
+    cols.index = dataclasses.replace(index, edge_tgt=tgt)
+    name = f"edge-{bad}.ucwa"
+    path = tmp_path / name
+    path.write_bytes(serialize_columnar(cols))
+    with pytest.raises(ValueError, match="EDGE deltas out of range") as err:
+        load_columnar(path)
+    assert name in str(err.value)
 
 
 def test_serialize_columnar_is_deterministic():

@@ -56,6 +56,42 @@ def test_thread_ids_and_counts():
     assert counts[1] > 0 and counts[2] > 0
 
 
+def thread_slice_counts_loop(store, flags):
+    """``TraceStore.thread_slice_counts`` as one Python pass per record."""
+    totals, sliced = {}, {}
+    for i, rec in enumerate(store.records()):
+        totals[rec.tid] = totals.get(rec.tid, 0) + 1
+        if flags[i]:
+            sliced[rec.tid] = sliced.get(rec.tid, 0) + 1
+    return totals, sliced
+
+
+def assert_same_slice_counts(store, flags):
+    got = store.thread_slice_counts(flags)
+    want = thread_slice_counts_loop(store, flags)
+    assert got == want
+    # Same key order: threads in the order they first appear.
+    assert [list(counts) for counts in got] == [list(counts) for counts in want]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_thread_slice_counts_match_the_per_record_loop(seed):
+    import random
+
+    store = random_trace(seed, target_records=500 + 100 * seed)
+    rng = random.Random(seed)
+    for density in (0.0, 0.3, 1.0):
+        flags = bytearray(rng.random() < density for _ in range(len(store)))
+        assert_same_slice_counts(store, flags)
+
+
+def test_thread_slice_counts_on_a_sliced_workload():
+    from repro.harness.experiments import cached_run
+
+    result = cached_run("amazon_mobile")
+    assert_same_slice_counts(result.store, result.pixel.flags)
+
+
 def _workload_trace(name):
     from repro.harness.experiments import run_engine
 
