@@ -34,6 +34,12 @@ IO_THREAD = 3
 FIRST_RASTER_THREAD = 4
 #: ThreadPoolForegroundWorker threads (image decode, background parsing)
 FIRST_WORKER_THREAD = 20
+#: number of ThreadPoolForegroundWorker threads
+WORKER_THREADS = 2
+
+#: ``maybe_debug_event`` emits one debug trace-event record every this
+#: many engine operations.
+DEBUG_EVENT_PERIOD = 9
 
 
 #: ``plain_helper``'s one label.
@@ -55,26 +61,17 @@ class EngineConfig:
     viewport_height: int = 800
     #: number of CompositorTileWorker (rasterizer) threads
     raster_threads: int = 2
-    #: number of ThreadPoolForegroundWorker threads
-    worker_threads: int = 2
     #: extra prepaint margin rastered around the viewport, in pixels
     interest_margin: int = 512
     #: also rasterize low-resolution duplicate tiles (Chromium's low-res
     #: tiling, prominent in mobile-emulated sessions; the duplicates are
     #: rarely displayed, so this work is usually wasted)
     raster_low_res: bool = False
-    #: emit one debug trace-event record every N engine operations
-    debug_event_period: int = 9
     #: vsync BeginFrame ticks pumped while the page settles after load
     #: (hero carousels / spinners keep the compositor animating)
     load_animation_ticks: int = 30
     #: BeginFrame ticks pumped after each user action
     action_animation_ticks: int = 6
-    #: drive update frames through the invalidation-driven incremental
-    #: pipeline (dirty subtree re-style / re-layout / re-paint / re-raster).
-    #: False restores the legacy full-rebuild path for every frame; frame 0
-    #: (the load frame) is identical either way.
-    incremental: bool = True
     #: random seed for workload-level jitter
     seed: int = 1
 
@@ -136,7 +133,7 @@ class EngineContext:
                 f"CompositorTileWorker{i + 1}",
                 "base::threading::ThreadMain",
             )
-        for i in range(self.config.worker_threads):
+        for i in range(WORKER_THREADS):
             tracer.spawn_thread(
                 FIRST_WORKER_THREAD + i,
                 f"ThreadPoolForegroundWorker{i + 1}",
@@ -151,9 +148,7 @@ class EngineContext:
         )
 
     def worker_thread_ids(self) -> Tuple[int, ...]:
-        return tuple(
-            FIRST_WORKER_THREAD + i for i in range(self.config.worker_threads)
-        )
+        return tuple(FIRST_WORKER_THREAD + i for i in range(WORKER_THREADS))
 
     # ------------------------------------------------------------------ #
     # Buffers                                                            #
@@ -198,9 +193,9 @@ class EngineContext:
                     )
 
     def maybe_debug_event(self) -> None:
-        """Emit a debug event every ``debug_event_period`` calls."""
+        """Emit a debug event every :data:`DEBUG_EVENT_PERIOD` calls."""
         self._ops_since_debug += 1
-        if self._ops_since_debug >= self.config.debug_event_period:
+        if self._ops_since_debug >= DEBUG_EVENT_PERIOD:
             self._ops_since_debug = 0
             self.debug_event(weight=1)
 

@@ -14,11 +14,9 @@ mutations mark elements dirty at an invalidation level (see
 render ("load"), each re-render ("update"), each compositor scroll redraw
 ("scroll") — is bracketed by FRAME_BEGIN/FRAME_END trace markers so the
 profiler can slice per-frame epochs.  At most one frame is in flight:
-work arriving while a frame is open is deferred to the next frame.  With
-``EngineConfig.incremental`` (the default) an update frame re-resolves
-style, re-lays-out, re-paints, and re-commits only the dirty subtrees;
-with it off every update frame rebuilds the whole pipeline (the legacy
-behaviour).  Frame 0 is byte-identical between the two modes.
+work arriving while a frame is open is deferred to the next frame.  The
+load frame renders the whole document; an update frame re-resolves
+style, re-lays-out, re-paints, and re-commits only the dirty subtrees.
 """
 
 from __future__ import annotations
@@ -59,6 +57,10 @@ from .paint.display_list import PaintLayer
 from .paint.painter import Painter
 from .scheduler.loop import Scheduler
 from .style.resolver import StyleResolver
+
+#: ``pump_animation_frames`` damages the topmost animated layer on every
+#: this-many-th vsync tick.
+DAMAGE_EVERY = 6
 
 
 @dataclass
@@ -302,7 +304,7 @@ class BrowserEngine:
         self._decode_images()
 
         self.dirty.clear()  # load-time script mutations render now
-        self._full_render(first_frame=True)
+        self._full_render()
 
     def _decode_images(self) -> None:
         """Decode fetched images on the ThreadPool workers.
@@ -385,10 +387,10 @@ class BrowserEngine:
     # Rendering pipeline                                                 #
     # ------------------------------------------------------------------ #
 
-    def _full_render(self, first_frame: bool) -> None:
-        """style -> layout -> paint -> commit -> raster -> draw."""
+    def _full_render(self) -> None:
+        """The load frame: style -> layout -> paint -> commit -> raster -> draw."""
         ctx = self.ctx
-        frame_id = self._frame_begin("load" if first_frame else "update")
+        frame_id = self._frame_begin("load")
         self.resolver = StyleResolver(ctx, self.cssom)
         self.resolver.resolve_document(self.document)
         self.layout = LayoutEngine(ctx, self.resolver)
@@ -398,7 +400,7 @@ class BrowserEngine:
 
         def commit_and_raster() -> None:
             self.compositor.commit(self.paint_layers)
-            self._raster_then_draw(first_frame=first_frame, frame_id=frame_id)
+            self._raster_then_draw(first_frame=True, frame_id=frame_id)
 
         self.scheduler.post(COMPOSITOR_THREAD, "Commit", commit_and_raster)
 
@@ -496,11 +498,7 @@ class BrowserEngine:
             # the next frame instead of rendering concurrently.
             self._render_pending = True
             return
-        frame_id = self._frame_begin("update")
-        if self.ctx.config.incremental:
-            self._incremental_update(frame_id)
-        else:
-            self._legacy_update(frame_id)
+        self._incremental_update(self._frame_begin("update"))
 
     def _dirty_rect_for(self, roots: List, old_rects: List[Rect]) -> Rect:
         dirty_rect = Rect(0, 0, 0, 0)
@@ -608,44 +606,6 @@ class BrowserEngine:
 
         self.scheduler.post(COMPOSITOR_THREAD, "UpdateLayers", compositor_update)
 
-    def _legacy_update(self, frame_id: int) -> None:
-        """Full-rebuild update frame (``EngineConfig.incremental`` off)."""
-        ctx = self.ctx
-        tracer = ctx.tracer
-        roots = self.dirty.roots()
-        old_rects = [
-            rect
-            for element, _level in roots
-            if (rect := self._last_rects.get(element.node_id)) is not None
-        ]
-        self.dirty.clear()
-
-        with tracer.function("blink::scheduler::BeginMainFrame"):
-            for element, _level in roots:
-                self.resolver.resolve_subtree(element)
-            self.layout_tree = self.layout.layout_document(self.document)
-
-        dirty_rect = self._dirty_rect_for(roots, old_rects)
-        self._remember_rects()
-
-        # Repaint layers whose content intersects the dirty rect.
-        promoted = {
-            layer.owner.node_id for layer in self.paint_layers if layer.owner is not None
-        }
-        for layer in self.paint_layers:
-            if layer.bounds.intersects(dirty_rect) or layer.is_root():
-                self.painter.repaint_layer(layer, self.layout_tree, promoted)
-
-        def compositor_update() -> None:
-            for layer in self.paint_layers:
-                cc_layer = self.compositor.layer_for(layer)
-                if cc_layer is not None and layer.bounds.intersects(dirty_rect):
-                    self.compositor.recommit_layer(cc_layer)
-            self.compositor.invalidate(dirty_rect)
-            self._raster_then_draw(first_frame=False, frame_id=frame_id)
-
-        self.scheduler.post(COMPOSITOR_THREAD, "UpdateLayers", compositor_update)
-
     def _run_js_callback(self, callback: TV, kind: str) -> None:
         if self.interp is None:
             return
@@ -733,10 +693,10 @@ class BrowserEngine:
                 self.runtime.dispatch_event(target, "input")
         self._render_if_dirty()
 
-    def pump_animation_frames(self, ticks: int, damage_every: int = 6) -> None:
+    def pump_animation_frames(self, ticks: int) -> None:
         """Post ``ticks`` vsync BeginFrame tasks to the compositor thread.
 
-        Every ``damage_every``-th tick, the topmost animated layer is
+        Every :data:`DAMAGE_EVERY`-th tick, the topmost animated layer is
         damaged (a carousel advance, a spinner frame): its visible tiles
         re-raster and a new frame is drawn.
         """
@@ -751,7 +711,7 @@ class BrowserEngine:
                     draw, priorities, report_timing
                 ),
             )
-            if damage_every and i % damage_every == damage_every - 1:
+            if i % DAMAGE_EVERY == DAMAGE_EVERY - 1:
                 self.scheduler.post(
                     COMPOSITOR_THREAD, "AnimationDamage", self._animation_damage
                 )

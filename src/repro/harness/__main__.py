@@ -10,7 +10,7 @@ Usage::
     python -m repro.harness bing-partial
     python -m repro.harness static
     python -m repro.harness tsan
-    python -m repro.harness frames [workload ...] [--engine=NAME]
+    python -m repro.harness frames [workload ...]
     python -m repro.harness service [workload ...] [--golden=PATH] [--rounds=N]
     python -m repro.harness optimize [workload ...]
     python -m repro.harness all
@@ -24,11 +24,8 @@ docs/race-detection.md).
 ``frames`` runs the multi-frame workloads (default: ticker, livefeed,
 scrollseq) through the incremental pipeline and prints each frame's
 pixel-slice and redundancy breakdown (see docs/incremental-pipeline.md).
-By default each frame is sliced by a bounded sequential walk that stops
-once nothing below the frame can change its flags;
-``--engine=incremental`` profiles all frames in one streaming
-checkpointed pass instead (identical numbers; see
-docs/incremental-slicing.md).
+Each frame is sliced by a bounded sequential walk that stops once
+nothing below the frame can change its flags.
 ``service`` smoke-tests the profiling daemon (see
 docs/profiling-service.md): it boots an in-process server, submits the
 paper workloads (default: the four Table II benchmarks) for ``--rounds``
@@ -131,11 +128,8 @@ def _optimize(names) -> str:
     return "\n\n".join(sections)
 
 
-def _frames(names, options) -> str:
-    engine = options.get("engine", "auto")
-    return frames_report(
-        {name: cached_frames(name, slice_engine=engine) for name in names}
-    )
+def _frames(names) -> str:
+    return frames_report({name: cached_frames(name) for name in names})
 
 
 def _service(names, options) -> str:
@@ -160,7 +154,7 @@ def main(argv) -> int:
             options[key] = value
         else:
             workload_args.append(arg)
-    if options and target not in ("service", "frames"):
+    if options and target != "service":
         print(f"target {target!r} takes no options", file=sys.stderr)
         return 2
     if target == "service":
@@ -172,21 +166,6 @@ def main(argv) -> int:
         if rounds is not None and (not rounds.isdigit() or int(rounds) < 1):
             print(f"--rounds expects a positive integer, got {rounds!r}",
                   file=sys.stderr)
-            return 2
-    if target == "frames":
-        unknown_opts = sorted(set(options) - {"engine"})
-        if unknown_opts:
-            print(f"unknown option(s): {', '.join(unknown_opts)}", file=sys.stderr)
-            return 2
-        frames_engine = options.get("engine")
-        from ..profiler.api import ENGINES
-
-        if frames_engine is not None and frames_engine not in ENGINES:
-            print(
-                f"--engine expects one of {', '.join(ENGINES)}; "
-                f"got {frames_engine!r}",
-                file=sys.stderr,
-            )
             return 2
 
     from ..workloads import (
@@ -244,7 +223,7 @@ def main(argv) -> int:
         print(_tsan())
         print()
     if target in ("frames", "all"):
-        print(_frames(frame_names, options))
+        print(_frames(frame_names))
         print()
     if target in ("service", "all"):
         print(_service(service_names, options))

@@ -153,34 +153,30 @@ class FrameExperimentResult:
 
 
 @collector_paused()
-def run_frames(
-    bench: Benchmark, slice_engine: str = "auto"
-) -> FrameExperimentResult:
+def run_frames(bench: Benchmark) -> FrameExperimentResult:
     """Run a multi-frame benchmark and profile each frame epoch.
 
     Unlike :func:`run_benchmark` this drives the page purely through the
     incremental frame pipeline (timer ticks and scripted actions), then
     slices each frame's own pixel criterion and classifies its non-slice
     work as redundant vs. fresh (see :mod:`repro.profiler.redundancy`).
-    The default slices each frame by a bounded sequential walk
-    (:func:`~repro.profiler.redundancy.bounded_frame_flags`);
-    ``slice_engine="incremental"`` profiles all frames in one streaming
-    checkpointed pass instead (identical report).  The cyclic collector
-    is paused throughout, as in :func:`run_engine`.
+    The trace is a row store, so each frame is sliced by a bounded
+    sequential walk (:func:`~repro.profiler.redundancy.bounded_frame_flags`).
+    The cyclic collector is paused throughout, as in :func:`run_engine`.
     """
     engine = BrowserEngine(bench.config)
     engine.load_page(bench.page)
     engine.run_session(bench.actions)
     store = engine.trace_store()
-    report = analyze_frames(store, engine=slice_engine)
+    report = analyze_frames(store)
     return FrameExperimentResult(
         benchmark=bench, engine=engine, store=store, report=report
     )
 
 
 @lru_cache(maxsize=None)
-def cached_frames(name: str, slice_engine: str = "auto") -> FrameExperimentResult:
+def cached_frames(name: str) -> FrameExperimentResult:
     """Run a registered multi-frame benchmark once per process."""
     from ..workloads import benchmark
 
-    return run_frames(benchmark(name), slice_engine=slice_engine)
+    return run_frames(benchmark(name))

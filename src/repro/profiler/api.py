@@ -96,9 +96,8 @@ class Profiler:
         """The profiler-lifetime checkpoint the incremental engine extends.
 
         Shared across every ``engine="incremental"`` slice of this
-        profiler, so a sweep of per-frame queries (``analyze_frames``,
-        the ``frames`` harness target) pays for each seedless region's
-        backward run once instead of once per frame.
+        profiler, so a sweep of per-frame queries pays for each seedless
+        region's backward run once instead of once per frame.
         """
         if self._checkpoint is None:
             from .incremental import SliceCheckpoint

@@ -127,13 +127,13 @@ def _stability_pass(store: TraceStore) -> Tuple[List[int], bytearray]:
 
     Stability propagates through *silent writes*: a cell overwritten only
     by stable re-executions still holds its old value, so readers of that
-    cell stay stable too.  (A legacy full-relayout pass rewrites every
-    geometry cell each frame with unchanged values; without propagation
-    the rewrite would mask the redundancy it embodies.)  Concretely, each
-    cell tracks its last *changing* write — the last write by a record
-    that was not itself stable — and record ``i`` is stable iff a previous
-    execution exists and every input cell's last changing write happened
-    at or before it.
+    cell stay stable too.  (An update frame that falls back to a
+    whole-document relayout rewrites every geometry cell with unchanged
+    values; without propagation the rewrite would mask the redundancy it
+    embodies.)  Concretely, each cell tracks its last *changing* write —
+    the last write by a record that was not itself stable — and record
+    ``i`` is stable iff a previous execution exists and every input
+    cell's last changing write happened at or before it.
     """
     last_changing_write: Dict[int, int] = {}
     seen: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int] = {}
@@ -232,21 +232,19 @@ def bounded_frame_flags(
     return results
 
 
-def analyze_frames(store: TraceStore, engine: str = "auto") -> RedundancyReport:
+def analyze_frames(store: TraceStore) -> RedundancyReport:
     """Per-frame pixel slices plus redundant/fresh classification.
 
-    ``engine`` names the engine of the per-frame slices; the default
-    ``"auto"`` resolves as :meth:`Profiler.slice` does (a columnar trace
-    with a stored index slices vectorized, a row store sequential).  On
-    the sequential engine every frame is sliced by a bounded walk
-    (:func:`bounded_frame_flags`): its own span, its share of one
-    seedless walk down from the trace end, and below the span only as
-    far as the invocations open at its begin reach.  That gives the
-    in-span flags a full slice per frame gives, byte for byte.
-    ``engine="incremental"`` runs every per-frame query against the
-    profiler's shared checkpoint, so each seedless region's backward run
-    is paid once and later frames reuse it (same flags, byte for byte —
-    the split is engine-invariant).
+    Frames are sliced on the engine :meth:`Profiler.slice` picks for the
+    trace (:func:`~.api.resolve_engine`), since which sweep is faster
+    depends on the trace.  On the sequential engine (a row store, or a
+    columnar trace without a stored index) every frame is sliced by a
+    bounded walk (:func:`bounded_frame_flags`): its own span, its share
+    of one seedless walk down from the trace end, and below the span
+    only as far as the invocations open at its begin reach.  That gives
+    the in-span flags a full slice per frame gives, byte for byte.  A
+    columnar trace with a stored index slices each frame vectorized,
+    over its stored edges.
 
     Raises ``ValueError`` when the trace records no complete frame epochs
     (i.e. it predates the incremental pipeline's frame markers).
@@ -262,12 +260,12 @@ def analyze_frames(store: TraceStore, engine: str = "auto") -> RedundancyReport:
     records = store.records()
     frames = [(span, frame_pixel_criteria(store, span)) for span in spans]
     sliced = [(span, criteria) for span, criteria in frames if criteria.criteria]
-    if (resolve_engine(store) if engine == "auto" else engine) == "sequential":
+    if resolve_engine(store) == "sequential":
         deps_of = profiler.control_dependence_index().deps_of
         in_span = bounded_frame_flags(records, sliced, deps_of)
     else:
         in_span = [
-            profiler.slice(criteria, engine=engine).flags[span.begin : span.end + 1]
+            profiler.slice(criteria).flags[span.begin : span.end + 1]
             for span, criteria in sliced
         ]
     sliced_flags = iter(in_span)

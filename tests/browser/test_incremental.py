@@ -1,6 +1,8 @@
-"""The incremental frame pipeline: identity, savings, invalidation edges."""
+"""The incremental frame pipeline: savings, lint, invalidation edges.
 
-import dataclasses
+Every update frame is checked against a from-scratch render in
+``test_render_reference.py``.
+"""
 
 import pytest
 
@@ -17,41 +19,16 @@ from repro.trace.lint import lint_trace
 from repro.workloads import benchmark
 
 
-def _run(name, incremental=True):
+def _run(name):
     bench = benchmark(name)
-    config = dataclasses.replace(bench.config, incremental=incremental)
-    engine = BrowserEngine(config)
+    engine = BrowserEngine(bench.config)
     engine.load_page(bench.page)
     engine.run_session(bench.actions)
     return engine
 
 
-def _display_items(engine):
-    return [
-        (item.kind, item.rect, item.color, item.owner_id)
-        for layer in engine.paint_layers
-        for item in layer.items
-    ]
-
-
-@pytest.fixture(scope="module")
-def ticker_pair():
-    return _run("ticker", incremental=True), _run("ticker", incremental=False)
-
-
-def test_frame0_identical_between_modes(ticker_pair):
-    inc, leg = ticker_pair
-    si, sl = inc.trace_store(), leg.trace_store()
-    fi, fl = si.frame_spans()[0], sl.frame_spans()[0]
-    assert fi.kind == fl.kind == "load"
-    ri = list(si.records())[fi.begin : fi.end + 1]
-    rl = list(sl.records())[fl.begin : fl.end + 1]
-    assert ri == rl, "load frame must be byte-identical in both modes"
-
-
-def test_steady_state_frames_are_smaller(ticker_pair):
-    inc, _ = ticker_pair
-    spans = inc.trace_store().frame_spans()
+def test_steady_state_frames_are_smaller():
+    spans = _run("ticker").trace_store().frame_spans()
     assert len(spans) >= 5
     load = spans[0].n_records()
     for span in spans[1:]:
@@ -61,34 +38,11 @@ def test_steady_state_frames_are_smaller(ticker_pair):
         )
 
 
-def test_incremental_mode_saves_over_legacy(ticker_pair):
-    inc, leg = ticker_pair
-    inc_updates = [s.n_records() for s in inc.trace_store().frame_spans()[1:]]
-    leg_updates = [s.n_records() for s in leg.trace_store().frame_spans()[1:]]
-    assert len(inc_updates) == len(leg_updates)
-    assert sum(inc_updates) < sum(leg_updates)
-
-
-def test_final_display_lists_match_legacy(ticker_pair):
-    inc, leg = ticker_pair
-    assert _display_items(inc) == _display_items(leg)
-
-
 @pytest.mark.parametrize("name", ["ticker", "livefeed", "scrollseq"])
 def test_multiframe_traces_lint_clean(name):
     engine = _run(name)
     report = lint_trace(engine.trace_store())
     assert report.ok, report.summary()
-
-
-def test_livefeed_display_lists_match_legacy():
-    inc, leg = _run("livefeed", True), _run("livefeed", False)
-    assert _display_items(inc) == _display_items(leg)
-    si, sl = inc.trace_store(), leg.trace_store()
-    fi, fl = si.frame_spans()[0], sl.frame_spans()[0]
-    ri = list(si.records())[fi.begin : fi.end + 1]
-    rl = list(sl.records())[fl.begin : fl.end + 1]
-    assert ri == rl
 
 
 # --------------------------------------------------------------------- #

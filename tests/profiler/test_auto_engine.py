@@ -88,11 +88,9 @@ def test_every_public_default_is_auto(source_paths):
 
 
 def test_analyze_frames_auto_matches_sequential(source_paths):
-    # Both the default and engine="sequential" take the bounded per-frame
-    # walks on a row store, so the report is checked against the full
-    # per-frame slices they replaced.
+    # A row store takes the bounded per-frame walks, so the report is
+    # checked against the full per-frame slices they replaced.
     want = analyze_frames_reference(trace(NAME))
-    assert analyze_frames(trace(NAME), engine="sequential") == want
     assert analyze_frames(trace(NAME)) == want
     for source in SOURCES[1:]:
         assert analyze_frames(open_source(NAME, source, source_paths)) == want, source

@@ -6,11 +6,10 @@ end, its own span, and below the span only while an invocation open at
 the frame's begin may still flag an in-span RET.  The reference,
 ``frames_reference.py``, is the loop it replaced: a full
 ``Profiler.slice(engine="sequential")`` per frame.  Every case checks
-the report (default engine and ``engine="sequential"``) and every
-frame's in-span flags against it, on the multi-frame workloads, on
-``random_frame_trace`` sweeps whose deep single-threaded frames put
-invocations across a frame's begin, and on a hand-built trace whose
-in-span RET has its CALL at record 1.
+the report and every frame's in-span flags against it, on the
+multi-frame workloads, on ``random_frame_trace`` sweeps whose deep
+single-threaded frames put invocations across a frame's begin, and on a
+hand-built trace whose in-span RET has its CALL at record 1.
 """
 
 import pytest
@@ -63,7 +62,6 @@ def bounded_flags(store):
 def assert_matches_reference(store):
     want = analyze_frames_reference(store)
     assert analyze_frames(store) == want
-    assert analyze_frames(store, engine="sequential") == want
     for (span, got), (ref_span, ref) in zip(bounded_flags(store), reference_frame_flags(store)):
         assert span == ref_span
         assert got == ref, f"frame {span.frame_id} [{span.begin}, {span.end}]"

@@ -61,16 +61,6 @@ def test_steady_state_ratio(ticker_report):
     assert ratio < 0.5, f"update frames should be well under half of load, got {ratio:.1%}"
 
 
-def test_report_is_engine_invariant(ticker_store, ticker_report):
-    """The incremental engine's one streaming pass must reproduce the
-    sequential report field for field (satellite of the incremental
-    engine PR: the redundant/fresh split is engine-invariant)."""
-    incremental = analyze_frames(ticker_store, engine="incremental")
-    assert len(incremental.frames) == len(ticker_report.frames)
-    for inc, seq in zip(incremental.frames, ticker_report.frames):
-        assert inc == seq
-
-
 def test_frame_criteria_restrict_to_span(ticker_store):
     spans = ticker_store.frame_spans()
     crits = frame_pixel_criteria(ticker_store, spans[1])
