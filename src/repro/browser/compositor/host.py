@@ -31,6 +31,9 @@ from ..layout.geometry import Rect
 from ..paint.display_list import DisplayItem, PaintLayer
 from .tiles import CompositedLayer, Tile
 
+#: raster fill emit-site labels, one per pixel block modulo 16
+_FILL_LABELS = tuple(f"fill_block{i}" for i in range(16))
+
 
 @dataclass
 class RasterTask:
@@ -385,30 +388,29 @@ class CompositorHost:
         dataflow — a text run over a background does not dead-kill the
         background's pixels.
         """
-        tracer = self.ctx.tracer
-        n_sources = len(item.source_cells)
+        ctx = self.ctx
+        tracer = ctx.tracer
+        source_cells = tuple(item.source_cells)
+        n_sources = len(source_cells)
+        # Spread the decoded-bitmap reads across the blocks (the caller
+        # passes at least one).
+        per = max(1, n_sources // len(blocks))
         with tracer.function(self._SKIA_FN.get(item.kind, "skia::SkCanvas::drawRect")):
             for b, block in enumerate(blocks):
+                blend = (cc_cell, block)
+                writes = (block,)
                 if n_sources:
-                    # Spread the decoded-bitmap reads across the blocks.
-                    per = max(1, n_sources // len(blocks))
                     start = (b * per) % n_sources
-                    sources = item.source_cells[start : start + per]
+                    reads = blend + source_cells[start : start + per]
                 else:
-                    sources = ()
-                tracer.op(
-                    f"fill_block{b % 16}",
-                    reads=(cc_cell, block) + tuple(sources),
-                    writes=(block,),
-                )
+                    reads = blend
+                tracer.op(_FILL_LABELS[b % 16], reads, writes)
                 if b % 2 == 0:
-                    self.ctx.plain_helper(
-                        "S32A_Opaque_BlitRow32", reads=(cc_cell, block), writes=(block,)
-                    )
+                    ctx.plain_helper("S32A_Opaque_BlitRow32", reads=blend, writes=writes)
                 if b % 4 == 0:
                     # Row copies go through the C runtime (read-modify-write
                     # like every other blend into the block).
-                    self.ctx.libc_memcpy((cc_cell, block), (block,), weight=1)
+                    ctx.libc_memcpy(blend, writes, weight=1)
 
     # ------------------------------------------------------------------ #
     # Draw (compositor thread)                                           #

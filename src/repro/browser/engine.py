@@ -62,6 +62,9 @@ from .style.resolver import StyleResolver
 #: this-many-th vsync tick.
 DAMAGE_EVERY = 6
 
+#: image-decode emit-site labels, one per byte cell modulo 64
+_DECODE_LABELS = tuple(f"decode_row{i}" for i in range(64))
+
 
 @dataclass
 class PageSpec:
@@ -336,18 +339,15 @@ class BrowserEngine:
             tracer.switch(worker_tids[i % len(worker_tids)])
             tracer.sync_acquire(barrier)
             with tracer.function("blink::ImageDecoder::Decode"):
+                # Source cell ``offset`` decodes into the bitmap cell at the
+                # same offset; the bitmap has at least ``source.size`` cells.
+                source_base, decoded_base = source.base, decoded.base
                 for offset in range(source.size):
-                    tracer.op(
-                        f"decode_row{offset % 64}",
-                        reads=(source.cell(offset),),
-                        writes=(decoded.cell(offset),),
-                    )
+                    reads = (source_base + offset,)
+                    writes = (decoded_base + offset,)
+                    tracer.op(_DECODE_LABELS[offset % 64], reads, writes)
                     if offset % 3 == 0:
-                        ctx.plain_helper(
-                            "png_read_row",
-                            reads=(source.cell(offset),),
-                            writes=(decoded.cell(offset),),
-                        )
+                        ctx.plain_helper("png_read_row", reads, writes)
                 ctx.maybe_debug_event()
             tracer.sync_release(barrier)
             self.painter.image_regions[url] = decoded

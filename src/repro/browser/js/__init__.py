@@ -1,7 +1,7 @@
 """Mini-JavaScript engine: lexer, parser, interpreter, browser bindings,
 and byte-coverage tracking (for Table I)."""
 
-from .coverage import CoverageTracker, ScriptCoverage, collect_functions, merge_spans
+from .coverage import CoverageTracker, ScriptCoverage, merge_spans
 from .interpreter import Interpreter
 from .lexer import JSLexError, JSToken, tokenize_js
 from .parser import JSParseError, JSParser, parse_js
@@ -34,7 +34,6 @@ __all__ = [
     "BrowserHooks",
     "CoverageTracker",
     "ScriptCoverage",
-    "collect_functions",
     "merge_spans",
     "TV",
     "Environment",

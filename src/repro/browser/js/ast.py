@@ -1,29 +1,66 @@
 """Abstract syntax tree of the mini-JavaScript language.
 
-Every node has a unique ``node_id`` (used as a stable emit-site label by
-the traced interpreter, so the same static AST node always executes at the
+Every node has a ``node_id`` (used as a stable emit-site label by the
+traced interpreter, so the same static AST node always executes at the
 same pc) and a byte ``span`` (for lazy-compilation cost and byte-coverage
 accounting).
+
+Nodes are numbered consecutively, in the order they are built, from
+the counter of the :func:`numbered_from` block the building thread is
+in: each interpreter parses its scripts inside one with its own
+counter, so an engine's labels do not depend on what else the process
+parsed.  Nodes built outside such a block (the static analyzer's
+parses) draw from one process-wide count, so ids stay unique across
+every script it reads.
+
+Every concrete node class derives directly from :class:`JSNode`, so
+dispatching on a node's exact type finds the branch an ``isinstance``
+chain would.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from itertools import count
+from typing import Iterator, List, Optional, Tuple
 
-_next_node_id = 0
+
+class _IdSource(threading.local):
+    """The counter new nodes draw their ids from, per thread: the
+    process-wide count unless a :func:`numbered_from` block set another."""
+
+    ids: Iterator[int] = count(1)
+
+
+_source = _IdSource()
 
 
 def _new_id() -> int:
-    global _next_node_id
-    _next_node_id += 1
-    return _next_node_id
+    return next(_source.ids)
+
+
+@contextmanager
+def numbered_from(ids: Iterator[int]) -> Iterator[None]:
+    """Number the nodes this thread builds inside the block from ``ids``."""
+    saved = _source.ids
+    _source.ids = ids
+    try:
+        yield
+    finally:
+        _source.ids = saved
 
 
 @dataclass
 class JSNode:
     span: Tuple[int, int]
     node_id: int = field(default_factory=_new_id, init=False)
+
+    #: the traced interpreter's emit-site labels for this node, formatted
+    #: on its first execution (a plain class attribute, not a field, so
+    #: comparisons and ``fields()`` see only the syntax)
+    labels = None
 
 
 # --------------------------------------------------------------------- #

@@ -10,33 +10,9 @@ inside an executed function still count as unused bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from . import ast
-
-
-def collect_functions(program: ast.Program) -> List[ast.FunctionExpr]:
-    """All function expressions/declarations in a program, any depth."""
-    found: List[ast.FunctionExpr] = []
-
-    def walk(node: object) -> None:
-        if isinstance(node, ast.FunctionExpr):
-            found.append(node)
-            for stmt in node.body:
-                walk(stmt)
-            return
-        if isinstance(node, ast.JSNode):
-            for value in vars(node).values():
-                walk(value)
-        elif isinstance(node, list):
-            for item in node:
-                walk(item)
-        elif isinstance(node, tuple):
-            for item in node:
-                walk(item)
-
-    walk(program)
-    return found
 
 
 def merge_spans(spans: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -70,8 +46,10 @@ class ScriptCoverage:
     executed_functions: Set[int] = field(default_factory=set)
     top_level_executed: bool = False
 
-    def register_program(self, program: ast.Program) -> None:
-        for func in collect_functions(program):
+    def register_functions(self, functions: Iterable[ast.FunctionExpr]) -> None:
+        """Record the span of every function of the script (the parser's
+        :attr:`~repro.browser.js.parser.JSParser.functions`)."""
+        for func in functions:
             self.function_spans[func.node_id] = func.span
 
     def mark_top_level(self) -> None:

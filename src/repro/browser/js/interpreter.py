@@ -18,13 +18,44 @@ never-called code is never pulled into a pixel slice.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, List, Optional, Tuple
 
 from ...machine.memory import MemRegion
 from ..context import EngineContext
 from . import ast
+from .ast import (
+    ArrayLiteral,
+    Assignment,
+    Binary,
+    BreakStmt,
+    Call,
+    Conditional,
+    ContinueStmt,
+    DoWhileStmt,
+    ExpressionStmt,
+    ForInStmt,
+    ForStmt,
+    FunctionDecl,
+    FunctionExpr,
+    Identifier,
+    IfStmt,
+    Literal,
+    Logical,
+    Member,
+    ObjectLiteral,
+    ReturnStmt,
+    SwitchStmt,
+    ThisExpr,
+    ThrowStmt,
+    TryStmt,
+    Unary,
+    UpdateExpr,
+    VarDecl,
+    WhileStmt,
+)
 from .coverage import CoverageTracker, ScriptCoverage
-from .parser import parse_js
+from .parser import JSParser
 from .values import (
     TV,
     Environment,
@@ -46,11 +77,64 @@ _TEMP_RING = 4096
 
 #: guard against runaway guest loops
 _MAX_STEPS = 5_000_000
+_OVER_BUDGET = "script exceeded the interpreter step budget"
 
 #: emit-site labels of the traced parse and compile loops, one per byte
 #: cell modulo 64
 _PARSE_LABELS = tuple(f"tok{i}" for i in range(64))
 _EMIT_LABELS = tuple(f"emit{i}" for i in range(64))
+
+#: parameter-binding labels of a call, one per parameter modulo 8
+_BIND_LABELS = tuple(f"bind{i}" for i in range(8))
+
+#: The suffixes of each node type's emit-site labels, each label being
+#: ``n{node_id}`` plus the suffix (see :func:`_labels`).
+_LABEL_SUFFIXES = {
+    Literal: (":const",),
+    FunctionExpr: (":closure",),
+    Unary: (":unary",),
+    Binary: (":binop",),
+    Logical: (":sc",),
+    Conditional: (":cond",),
+    Assignment: (":combine", ":assign", ":setprop"),
+    UpdateExpr: (":update",),
+    Member: (":getprop",),
+    Call: (":call",),
+    ArrayLiteral: tuple(f":el{i}" for i in range(16)),
+    ObjectLiteral: tuple(f":p{i}" for i in range(16)),
+    VarDecl: (":store",),
+    FunctionDecl: (":fndecl",),
+    IfStmt: (":if",),
+    WhileStmt: (":while",),
+    DoWhileStmt: (":dowhile",),
+    ForInStmt: (":nextkey", ":forin", ":bindkey"),
+    ForStmt: (":for",),
+    ThrowStmt: (":throw",),
+    TryStmt: (":catchbind",),
+}
+
+
+def _labels(node: ast.JSNode) -> Tuple[Optional[str], ...]:
+    """Format ``node``'s emit-site labels and keep them on the node.
+
+    A node executes at the same labels every time, so each is formatted
+    once: ``n{node_id}`` plus the suffixes of :data:`_LABEL_SUFFIXES`;
+    for a function, also its symbol and its compile label; for a switch,
+    one ``case`` label per case (``None`` for ``default``), named by the
+    case test's id modulo 32.
+    """
+    prefix = f"n{node.node_id}"
+    if type(node) is SwitchStmt:
+        labels = tuple(
+            None if test is None else f"{prefix}:case{test.node_id % 32}"
+            for test, _body in node.cases
+        )
+    else:
+        labels = tuple(prefix + suffix for suffix in _LABEL_SUFFIXES[type(node)])
+        if type(node) is FunctionExpr:
+            labels += (f"v8::js::{node.name or 'anonymous'}", f"fn{node.node_id}")
+    node.labels = labels
+    return labels
 
 
 class _BreakSignal(Exception):
@@ -76,14 +160,22 @@ class GuestThrow(Exception):
 
 
 class Interpreter:
-    """One JavaScript engine instance for a tab."""
+    """One JavaScript engine instance for a tab.
+
+    The hot paths (:meth:`eval`, :meth:`_exec_stmt`) dispatch on a node's
+    exact type, most frequent first, count the step budget inline and
+    take emit-site labels from the node (:func:`_labels`).
+    """
 
     def __init__(self, ctx: EngineContext, coverage: Optional[CoverageTracker] = None) -> None:
         self.ctx = ctx
         self.coverage = coverage if coverage is not None else CoverageTracker()
         self.global_env = Environment(ctx)
         self._temp_region = ctx.memory.alloc("v8:stack", _TEMP_RING)
+        self._temp_base = self._temp_region.base
         self._temp_next = 0
+        #: numbers the nodes of every script this engine parses
+        self._node_ids = count(1)
         self._script_regions: Dict[int, MemRegion] = {}
         self._script_ast_cells: Dict[int, int] = {}
         self._steps = 0
@@ -100,9 +192,11 @@ class Interpreter:
     def execute_script(self, source: str, name: str, region: MemRegion) -> ScriptCoverage:
         """Parse and run a whole <script> in the global scope (traced)."""
         tracer = self.ctx.tracer
-        program = parse_js(source)
+        with ast.numbered_from(self._node_ids):
+            parser = JSParser(source)
+            program = parser.parse_program()
         script = self.coverage.register_script(name, len(source))
-        script.register_program(program)
+        script.register_functions(parser.functions)
         self._script_regions[script.script_id] = region
 
         # Traced parse: the tokenizer/parser consume every source byte,
@@ -136,18 +230,13 @@ class Interpreter:
     # ------------------------------------------------------------------ #
 
     def temp_cell(self) -> int:
-        cell = self._temp_region.cell(self._temp_next)
-        self._temp_next = (self._temp_next + 1) % _TEMP_RING
-        return cell
+        index = self._temp_next
+        self._temp_next = (index + 1) % _TEMP_RING
+        return self._temp_base + index
 
     def make_tv(self, value: object) -> TV:
         """Wrap an engine-produced value in a fresh temporary cell."""
         return TV(value, self.temp_cell())
-
-    def _tick(self) -> None:
-        self._steps += 1
-        if self._steps > _MAX_STEPS:
-            raise JSError("script exceeded the interpreter step budget")
 
     def _compile_span(
         self,
@@ -182,121 +271,56 @@ class Interpreter:
             self._exec_stmt(stmt, env)
 
     def _exec_stmt(self, node: ast.JSNode, env: Environment) -> None:
-        self._tick()
+        steps = self._steps = self._steps + 1
+        if steps > _MAX_STEPS:
+            raise JSError(_OVER_BUDGET)
         tracer = self.ctx.tracer
-        if isinstance(node, ast.VarDecl):
+        kind = type(node)
+        if kind is ExpressionStmt:
+            self.eval(node.expr, env)
+        elif kind is VarDecl:
             if node.init is not None:
                 value = self.eval(node.init, env)
             else:
                 value = TV(None, self.undefined_cell)
             env.define(node.name, value.value)
             tracer.op(
-                f"n{node.node_id}:store",
-                reads=(value.cell,),
-                writes=(env.slot_cell(node.name),),
+                (node.labels or _labels(node))[0],
+                (value.cell,),
+                (env.slot_cell(node.name),),
             )
-        elif isinstance(node, ast.FunctionDecl):
-            fn = JSFunction(node.func, env, self._current_script.script_id)
-            env.define(node.func.name, fn)
-            tracer.op(
-                f"n{node.node_id}:fndecl",
-                reads=(self._current_code_cell,),
-                writes=(env.slot_cell(node.func.name),),
-            )
-        elif isinstance(node, ast.ExpressionStmt):
-            self.eval(node.expr, env)
-        elif isinstance(node, ast.IfStmt):
+        elif kind is IfStmt:
             test = self.eval(node.test, env)
-            tracer.compare_and_branch(f"n{node.node_id}:if", reads=(test.cell,))
+            tracer.compare_and_branch((node.labels or _labels(node))[0], (test.cell,))
             if js_truthy(test.value):
                 self._exec_block(node.consequent, env)
             else:
                 self._exec_block(node.alternate, env)
-        elif isinstance(node, ast.WhileStmt):
-            while True:
-                test = self.eval(node.test, env)
-                tracer.compare_and_branch(f"n{node.node_id}:while", reads=(test.cell,))
-                if not js_truthy(test.value):
-                    break
-                try:
-                    self._exec_block(node.body, env)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-        elif isinstance(node, ast.DoWhileStmt):
-            while True:
-                try:
-                    self._exec_block(node.body, env)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    pass
-                test = self.eval(node.test, env)
-                tracer.compare_and_branch(f"n{node.node_id}:dowhile", reads=(test.cell,))
-                if not js_truthy(test.value):
-                    break
-        elif isinstance(node, ast.ForInStmt):
-            obj = self.eval(node.obj, env)
-            holder = obj.value
-            if isinstance(holder, JSArray):
-                keys = [str(i) for i in range(len(holder.elements))]
-            elif isinstance(holder, JSObject):
-                keys = holder.keys()
+        elif kind is ReturnStmt:
+            if node.value is not None:
+                value = self.eval(node.value, env)
             else:
-                keys = []
-            for key in keys:
-                key_tv = self.make_tv(key)
-                tracer.op(
-                    f"n{node.node_id}:nextkey",
-                    reads=(obj.cell,),
-                    writes=(key_tv.cell,),
-                )
-                tracer.compare_and_branch(
-                    f"n{node.node_id}:forin", reads=(key_tv.cell,)
-                )
-                env.define(node.name, key)
-                tracer.op(
-                    f"n{node.node_id}:bindkey",
-                    reads=(key_tv.cell,),
-                    writes=(env.slot_cell(node.name),),
-                )
-                try:
-                    self._exec_block(node.body, env)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-        elif isinstance(node, ast.SwitchStmt):
-            disc = self.eval(node.discriminant, env)
-            matched = False
-            try:
-                for test_node, body in node.cases:
-                    if not matched and test_node is not None:
-                        case_value = self.eval(test_node, env)
-                        tracer.compare_and_branch(
-                            f"n{node.node_id}:case{test_node.node_id % 32}",
-                            reads=(disc.cell, case_value.cell),
-                        )
-                        if not self._js_equals(disc.value, case_value.value):
-                            continue
-                        matched = True
-                    elif not matched and test_node is None:
-                        matched = True
-                    if matched:
-                        self._exec_block(body, env)
-            except _BreakSignal:
-                pass
-        elif isinstance(node, ast.ForStmt):
+                value = TV(None, self.undefined_cell)
+            raise _ReturnSignal(value)
+        elif kind is FunctionDecl:
+            fn = JSFunction(node.func, env, self._current_script.script_id)
+            env.define(node.func.name, fn)
+            tracer.op(
+                (node.labels or _labels(node))[0],
+                (self._current_code_cell,),
+                (env.slot_cell(node.func.name),),
+            )
+        elif kind is ForStmt:
+            label = (node.labels or _labels(node))[0]
             if node.init is not None:
-                if isinstance(node.init, (ast.VarDecl, ast.ExpressionStmt)):
+                if isinstance(node.init, (VarDecl, ExpressionStmt)):
                     self._exec_stmt(node.init, env)
                 else:
                     self.eval(node.init, env)
             while True:
                 if node.test is not None:
                     test = self.eval(node.test, env)
-                    tracer.compare_and_branch(f"n{node.node_id}:for", reads=(test.cell,))
+                    tracer.compare_and_branch(label, (test.cell,))
                     if not js_truthy(test.value):
                         break
                 try:
@@ -307,12 +331,81 @@ class Interpreter:
                     pass
                 if node.update is not None:
                     self.eval(node.update, env)
-        elif isinstance(node, ast.ThrowStmt):
+        elif kind is WhileStmt:
+            label = (node.labels or _labels(node))[0]
+            while True:
+                test = self.eval(node.test, env)
+                tracer.compare_and_branch(label, (test.cell,))
+                if not js_truthy(test.value):
+                    break
+                try:
+                    self._exec_block(node.body, env)
+                except _BreakSignal:
+                    break
+                except _ContinueSignal:
+                    continue
+        elif kind is DoWhileStmt:
+            label = (node.labels or _labels(node))[0]
+            while True:
+                try:
+                    self._exec_block(node.body, env)
+                except _BreakSignal:
+                    break
+                except _ContinueSignal:
+                    pass
+                test = self.eval(node.test, env)
+                tracer.compare_and_branch(label, (test.cell,))
+                if not js_truthy(test.value):
+                    break
+        elif kind is ForInStmt:
+            next_label, test_label, bind_label = node.labels or _labels(node)
+            obj = self.eval(node.obj, env)
+            holder = obj.value
+            if isinstance(holder, JSArray):
+                keys = [str(i) for i in range(len(holder.elements))]
+            elif isinstance(holder, JSObject):
+                keys = holder.keys()
+            else:
+                keys = []
+            for key in keys:
+                key_tv = self.make_tv(key)
+                tracer.op(next_label, (obj.cell,), (key_tv.cell,))
+                tracer.compare_and_branch(test_label, (key_tv.cell,))
+                env.define(node.name, key)
+                tracer.op(bind_label, (key_tv.cell,), (env.slot_cell(node.name),))
+                try:
+                    self._exec_block(node.body, env)
+                except _BreakSignal:
+                    break
+                except _ContinueSignal:
+                    continue
+        elif kind is SwitchStmt:
+            case_labels = node.labels or _labels(node)
+            disc = self.eval(node.discriminant, env)
+            matched = False
+            try:
+                for case_label, (test_node, body) in zip(case_labels, node.cases):
+                    if not matched and test_node is not None:
+                        case_value = self.eval(test_node, env)
+                        tracer.compare_and_branch(
+                            case_label, (disc.cell, case_value.cell)
+                        )
+                        if not self._js_equals(disc.value, case_value.value):
+                            continue
+                        matched = True
+                    elif not matched and test_node is None:
+                        matched = True
+                    if matched:
+                        self._exec_block(body, env)
+            except _BreakSignal:
+                pass
+        elif kind is ThrowStmt:
             value = self.eval(node.value, env)
-            tracer.op(f"n{node.node_id}:throw", reads=(value.cell,),
-                      writes=(self.undefined_cell,))
+            tracer.op(
+                (node.labels or _labels(node))[0], (value.cell,), (self.undefined_cell,)
+            )
             raise GuestThrow(value)
-        elif isinstance(node, ast.TryStmt):
+        elif kind is TryStmt:
             try:
                 self._exec_block(node.block, env)
             except GuestThrow as thrown:
@@ -321,26 +414,20 @@ class Interpreter:
                 if node.param is not None:
                     env.define(node.param, thrown.value.value)
                     tracer.op(
-                        f"n{node.node_id}:catchbind",
-                        reads=(thrown.value.cell,),
-                        writes=(env.slot_cell(node.param),),
+                        (node.labels or _labels(node))[0],
+                        (thrown.value.cell,),
+                        (env.slot_cell(node.param),),
                     )
                 self._exec_block(node.handler, env)
             finally:
                 if node.finally_body:
                     self._exec_block(node.finally_body, env)
-        elif isinstance(node, ast.ReturnStmt):
-            if node.value is not None:
-                value = self.eval(node.value, env)
-            else:
-                value = TV(None, self.undefined_cell)
-            raise _ReturnSignal(value)
-        elif isinstance(node, ast.BreakStmt):
+        elif kind is BreakStmt:
             raise _BreakSignal()
-        elif isinstance(node, ast.ContinueStmt):
+        elif kind is ContinueStmt:
             raise _ContinueSignal()
         else:
-            raise JSError(f"unsupported statement {type(node).__name__}")
+            raise JSError(f"unsupported statement {kind.__name__}")
         self.ctx.maybe_debug_event()
 
     # ------------------------------------------------------------------ #
@@ -348,96 +435,64 @@ class Interpreter:
     # ------------------------------------------------------------------ #
 
     def eval(self, node: ast.JSNode, env: Environment) -> TV:
-        self._tick()
-        tracer = self.ctx.tracer
+        steps = self._steps = self._steps + 1
+        if steps > _MAX_STEPS:
+            raise JSError(_OVER_BUDGET)
+        kind = type(node)
 
-        if isinstance(node, ast.Literal):
-            out = self.temp_cell()
-            tracer.op(
-                f"n{node.node_id}:const",
-                reads=(self._current_code_cell,),
-                writes=(out,),
-            )
-            return TV(node.value, out)
-
-        if isinstance(node, ast.Identifier):
-            value_env = env.lookup_env(node.name)
-            if value_env is None:
-                raise JSReferenceError(f"{node.name} is not defined")
+        if kind is Identifier:
+            name = node.name
+            scope = env
+            while name not in scope.slots:
+                scope = scope.parent
+                if scope is None:
+                    raise JSReferenceError(f"{name} is not defined")
             # Reading a binding is register-like: the TV aliases the slot
             # cell directly (no record), like a register-allocated load.
-            return TV(value_env.slots[node.name], value_env.slot_cell(node.name))
+            return TV(scope.slots[name], scope.slot_cell(name))
 
-        if isinstance(node, ast.ThisExpr):
-            this_env = env.lookup_env("this")
-            if this_env is None:
-                return TV(None, self.undefined_cell)
-            return TV(this_env.slots["this"], this_env.slot_cell("this"))
-
-        if isinstance(node, ast.ArrayLiteral):
-            array = JSArray(self.ctx)
-            self.ctx.libc_malloc(array.prop_cell("length"))
-            for i, element in enumerate(node.elements):
-                item = self.eval(element, env)
-                array.elements.append(item.value)
-                tracer.op(
-                    f"n{node.node_id}:el{i % 16}",
-                    reads=(item.cell,),
-                    writes=(array.index_cell(i),),
-                )
-            return self.make_tv(array)
-
-        if isinstance(node, ast.ObjectLiteral):
-            obj = JSObject(self.ctx)
-            self.ctx.libc_malloc(obj.prop_cell("__header__"))
-            for i, (key, value_node) in enumerate(node.entries):
-                item = self.eval(value_node, env)
-                obj.set(key, item.value)
-                tracer.op(
-                    f"n{node.node_id}:p{i % 16}",
-                    reads=(item.cell,),
-                    writes=(obj.prop_cell(key),),
-                )
-            return self.make_tv(obj)
-
-        if isinstance(node, ast.FunctionExpr):
-            fn = JSFunction(node, env, self._current_script.script_id)
-            out = self.temp_cell()
-            tracer.op(
-                f"n{node.node_id}:closure",
-                reads=(self._current_code_cell,),
-                writes=(out,),
-            )
-            return TV(fn, out)
-
-        if isinstance(node, ast.Unary):
-            operand = self.eval(node.operand, env)
-            out = self.temp_cell()
-            tracer.op(f"n{node.node_id}:unary", reads=(operand.cell,), writes=(out,))
-            return TV(self._apply_unary(node.op, operand.value), out)
-
-        if isinstance(node, ast.Binary):
+        if kind is Binary:
             left = self.eval(node.left, env)
-            if node.op == ",":
+            op = node.op
+            if op == ",":
                 return self.eval(node.right, env)
             right = self.eval(node.right, env)
             out = self.temp_cell()
-            tracer.op(
-                f"n{node.node_id}:binop",
-                reads=(left.cell, right.cell),
-                writes=(out,),
+            self.ctx.tracer.op(
+                (node.labels or _labels(node))[0], (left.cell, right.cell), (out,)
             )
-            result = self._apply_binary(node.op, left.value, right.value)
-            if node.op == "+" and isinstance(result, str):
+            result = self._apply_binary(op, left.value, right.value)
+            if op == "+" and isinstance(result, str):
                 self._concat_count += 1
                 if self._concat_count % 4 == 0:
                     # Rope flattening copies through the C runtime.
                     self.ctx.libc_memcpy((left.cell, right.cell), (out,))
             return TV(result, out)
 
-        if isinstance(node, ast.Logical):
+        if kind is Literal:
+            out = self.temp_cell()
+            self.ctx.tracer.op(
+                (node.labels or _labels(node))[0], (self._current_code_cell,), (out,)
+            )
+            return TV(node.value, out)
+
+        if kind is Assignment:
+            return self._eval_assignment(node, env)
+
+        if kind is UpdateExpr:
+            return self._eval_update(node, env)
+
+        if kind is Call:
+            return self._eval_call(node, env)
+
+        if kind is Member:
+            return self._eval_member(node, env)
+
+        tracer = self.ctx.tracer
+
+        if kind is Logical:
             left = self.eval(node.left, env)
-            tracer.compare_and_branch(f"n{node.node_id}:sc", reads=(left.cell,))
+            tracer.compare_and_branch((node.labels or _labels(node))[0], (left.cell,))
             if node.op == "&&":
                 if not js_truthy(left.value):
                     return left
@@ -446,56 +501,77 @@ class Interpreter:
                 return left
             return self.eval(node.right, env)
 
-        if isinstance(node, ast.Conditional):
+        if kind is Unary:
+            operand = self.eval(node.operand, env)
+            out = self.temp_cell()
+            tracer.op((node.labels or _labels(node))[0], (operand.cell,), (out,))
+            return TV(self._apply_unary(node.op, operand.value), out)
+
+        if kind is Conditional:
             test = self.eval(node.test, env)
-            tracer.compare_and_branch(f"n{node.node_id}:cond", reads=(test.cell,))
+            tracer.compare_and_branch((node.labels or _labels(node))[0], (test.cell,))
             if js_truthy(test.value):
                 return self.eval(node.consequent, env)
             return self.eval(node.alternate, env)
 
-        if isinstance(node, ast.Assignment):
-            return self._eval_assignment(node, env)
+        if kind is FunctionExpr:
+            fn = JSFunction(node, env, self._current_script.script_id)
+            out = self.temp_cell()
+            tracer.op(
+                (node.labels or _labels(node))[0], (self._current_code_cell,), (out,)
+            )
+            return TV(fn, out)
 
-        if isinstance(node, ast.UpdateExpr):
-            return self._eval_update(node, env)
+        if kind is ObjectLiteral:
+            obj = JSObject(self.ctx)
+            self.ctx.libc_malloc(obj.prop_cell("__header__"))
+            labels = node.labels or _labels(node)
+            for i, (key, value_node) in enumerate(node.entries):
+                item = self.eval(value_node, env)
+                obj.set(key, item.value)
+                tracer.op(labels[i % 16], (item.cell,), (obj.prop_cell(key),))
+            return self.make_tv(obj)
 
-        if isinstance(node, ast.Member):
-            return self._eval_member(node, env)
+        if kind is ArrayLiteral:
+            array = JSArray(self.ctx)
+            self.ctx.libc_malloc(array.prop_cell("length"))
+            labels = node.labels or _labels(node)
+            for i, element in enumerate(node.elements):
+                item = self.eval(element, env)
+                array.elements.append(item.value)
+                tracer.op(labels[i % 16], (item.cell,), (array.index_cell(i),))
+            return self.make_tv(array)
 
-        if isinstance(node, ast.Call):
-            return self._eval_call(node, env)
+        if kind is ThisExpr:
+            this_env = env.lookup_env("this")
+            if this_env is None:
+                return TV(None, self.undefined_cell)
+            return TV(this_env.slots["this"], this_env.slot_cell("this"))
 
-        raise JSError(f"unsupported expression {type(node).__name__}")
+        raise JSError(f"unsupported expression {kind.__name__}")
 
     # ------------------------------------------------------------------ #
 
     def _eval_assignment(self, node: ast.Assignment, env: Environment) -> TV:
         tracer = self.ctx.tracer
+        combine_label, assign_label, setprop_label = node.labels or _labels(node)
         value = self.eval(node.value, env)
         if node.op != "=":
             current = self.eval(node.target, env)
             combined = self._apply_binary(node.op[:-1], current.value, value.value)
             out = self.temp_cell()
-            tracer.op(
-                f"n{node.node_id}:combine",
-                reads=(current.cell, value.cell),
-                writes=(out,),
-            )
+            tracer.op(combine_label, (current.cell, value.cell), (out,))
             value = TV(combined, out)
 
-        if isinstance(node.target, ast.Identifier):
-            target_env = env.set(node.target.name, value.value)
-            tracer.op(
-                f"n{node.node_id}:assign",
-                reads=(value.cell,),
-                writes=(target_env.slot_cell(node.target.name),),
-            )
+        target = node.target
+        if type(target) is Identifier:
+            target_env = env.set(target.name, value.value)
+            tracer.op(assign_label, (value.cell,), (target_env.slot_cell(target.name),))
             return value
 
         # Member assignment.
-        member = node.target
-        obj = self.eval(member.obj, env)
-        name = self._member_name(member, env)
+        obj = self.eval(target.obj, env)
+        name = self._member_name(target, env)
         holder = obj.value
         if isinstance(holder, JSArray) and name.lstrip("-").isdigit():
             index = int(name)
@@ -508,23 +584,23 @@ class Interpreter:
             cell = holder.prop_cell(name)
         else:
             raise JSTypeError(f"cannot set property {name!r} on {js_typeof(holder)}")
-        tracer.op(f"n{node.node_id}:setprop", reads=(value.cell,), writes=(cell,))
+        tracer.op(setprop_label, (value.cell,), (cell,))
         hook = getattr(holder, "setter_hook", None)
         if hook is not None:
             hook(name, value)
         return value
 
     def _eval_update(self, node: ast.UpdateExpr, env: Environment) -> TV:
-        tracer = self.ctx.tracer
         current = self.eval(node.target, env)
         delta = 1.0 if node.op == "++" else -1.0
         updated = js_to_number(current.value) + delta
-        if isinstance(node.target, ast.Identifier):
-            target_env = env.set(node.target.name, updated)
-            cell = target_env.slot_cell(node.target.name)
-        elif isinstance(node.target, ast.Member):
-            obj = self.eval(node.target.obj, env)
-            name = self._member_name(node.target, env)
+        target = node.target
+        if type(target) is Identifier:
+            target_env = env.set(target.name, updated)
+            cell = target_env.slot_cell(target.name)
+        elif type(target) is Member:
+            obj = self.eval(target.obj, env)
+            name = self._member_name(target, env)
             holder = obj.value
             if not isinstance(holder, JSObject):
                 raise JSTypeError("update target is not an object")
@@ -532,7 +608,7 @@ class Interpreter:
             cell = holder.prop_cell(name)
         else:
             raise JSTypeError("invalid update target")
-        tracer.op(f"n{node.node_id}:update", reads=(current.cell,), writes=(cell,))
+        self.ctx.tracer.op((node.labels or _labels(node))[0], (current.cell,), (cell,))
         return TV(updated if node.prefix else js_to_number(current.value), cell)
 
     def _member_name(self, node: ast.Member, env: Environment) -> str:
@@ -542,12 +618,11 @@ class Interpreter:
         return js_to_string(index.value)
 
     def _eval_member(self, node: ast.Member, env: Environment) -> TV:
-        tracer = self.ctx.tracer
         obj = self.eval(node.obj, env)
         name = self._member_name(node, env)
         value, cell = self.get_property(obj, name)
         out = self.temp_cell()
-        tracer.op(f"n{node.node_id}:getprop", reads=(obj.cell, cell), writes=(out,))
+        self.ctx.tracer.op((node.labels or _labels(node))[0], (obj.cell, cell), (out,))
         self._member_count += 1
         if self._member_count % 3 == 0:
             self.ctx.plain_helper("HashTableLookup", reads=(obj.cell, cell), writes=(out,))
@@ -591,24 +666,31 @@ class Interpreter:
         return None
 
     def _eval_call(self, node: ast.Call, env: Environment) -> TV:
+        call_label = (node.labels or _labels(node))[0]
         # Method call: evaluate the receiver once.
         this: object = None
-        if isinstance(node.callee, ast.Member):
-            obj = self.eval(node.callee.obj, env)
-            name = self._member_name(node.callee, env)
+        callee_node = node.callee
+        if type(callee_node) is Member:
+            obj = self.eval(callee_node.obj, env)
+            name = self._member_name(callee_node, env)
             fn_value, fn_cell = self.get_property(obj, name)
             callee = TV(fn_value, fn_cell)
             this = obj.value
         else:
-            callee = self.eval(node.callee, env)
+            callee = self.eval(callee_node, env)
         args = [self.eval(arg, env) for arg in node.args]
         if node.is_new:
             instance = JSObject(self.ctx, kind="instance")
-            result = self._invoke(callee, instance, args, f"n{node.node_id}")
+            result = self._call(callee, instance, args, call_label)
             return self.make_tv(instance if result.value is None else result.value)
-        return self._invoke(callee, this, args, f"n{node.node_id}")
+        return self._call(callee, this, args, call_label)
 
     def _invoke(self, callee: TV, this: object, args: List[TV], site: str) -> TV:
+        """Call ``callee`` from engine or built-in code at ``site``."""
+        return self._call(callee, this, args, f"{site}:call")
+
+    def _call(self, callee: TV, this: object, args: List[TV], call_label: str) -> TV:
+        """Call ``callee``; a JS function's CALL record is at ``call_label``."""
         tracer = self.ctx.tracer
         fn = callee.value
         if isinstance(fn, NativeFunction):
@@ -617,6 +699,7 @@ class Interpreter:
             raise JSTypeError(f"{js_to_string(fn)} is not a function")
 
         decl = fn.declaration
+        _closure_label, symbol, compile_label = decl.labels or _labels(decl)
         script = self.coverage.script(fn.script_id)
         if not fn.compiled:
             region = self._script_regions[fn.script_id]
@@ -624,7 +707,7 @@ class Interpreter:
                 script.name,
                 region,
                 decl.span,
-                f"fn{decl.node_id}",
+                compile_label,
                 ast_cell=self._script_ast_cells.get(fn.script_id),
             )
             fn.compiled = True
@@ -633,15 +716,11 @@ class Interpreter:
 
         call_env = Environment(self.ctx, fn.closure)
         call_env.define("this", this)
-        with tracer.function(f"v8::js::{fn.name}", site=f"{site}:call"):
+        with tracer.function(symbol, site=call_label):
             for i, param in enumerate(decl.params):
                 arg = args[i] if i < len(args) else TV(None, self.undefined_cell)
                 call_env.define(param, arg.value)
-                tracer.op(
-                    f"bind{i % 8}",
-                    reads=(arg.cell,),
-                    writes=(call_env.slot_cell(param),),
-                )
+                tracer.op(_BIND_LABELS[i % 8], (arg.cell,), (call_env.slot_cell(param),))
             saved_code = self._current_code_cell
             saved_script = self._current_script
             self._current_code_cell = fn.code_cell
@@ -699,16 +778,15 @@ class Interpreter:
         if op in ("!=", "!=="):
             return not self._js_equals(left, right)
         if op in ("<", ">", "<=", ">="):
-            if isinstance(left, str) and isinstance(right, str):
-                pair = (left, right)
-            else:
-                pair = (js_to_number(left), js_to_number(right))
-            return {
-                "<": pair[0] < pair[1],
-                ">": pair[0] > pair[1],
-                "<=": pair[0] <= pair[1],
-                ">=": pair[0] >= pair[1],
-            }[op]
+            if not (isinstance(left, str) and isinstance(right, str)):
+                left, right = js_to_number(left), js_to_number(right)
+            if op == "<":
+                return left < right
+            if op == ">":
+                return left > right
+            if op == "<=":
+                return left <= right
+            return left >= right
         if op == "in":
             if isinstance(right, JSObject):
                 return right.has(js_to_string(left))

@@ -28,6 +28,9 @@ class JSParser:
         self.source = source
         self.tokens = tokenize_js(source)
         self.pos = 0
+        #: every function expression or declaration built, nested ones
+        #: before the function holding them (the order they are built)
+        self.functions: List[ast.FunctionExpr] = []
 
     # -- token plumbing -------------------------------------------------- #
     #
@@ -149,7 +152,9 @@ class JSParser:
         self.expect_punct("{")
         body = self._parse_block_rest()
         end = self.tokens[self.pos - 1].end
-        return ast.FunctionExpr(span=(kw.start, end), name=name, params=params, body=body)
+        func = ast.FunctionExpr(span=(kw.start, end), name=name, params=params, body=body)
+        self.functions.append(func)
+        return func
 
     def _parse_block_rest(self) -> List[ast.JSNode]:
         body: List[ast.JSNode] = []

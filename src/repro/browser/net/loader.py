@@ -24,6 +24,9 @@ _MTU = 1400
 #: cells consumed per recvfrom record (1400 bytes / 64 bytes-per-cell)
 _CELLS_PER_CHUNK = max(1, _MTU // BYTES_PER_CELL)
 
+#: TLS decryption emit-site labels, by cell offset in the chunk modulo 16
+_DECRYPT_LABELS = tuple(f"decrypt{i}" for i in range(16))
+
 
 @dataclass
 class Resource:
@@ -74,24 +77,28 @@ class NetworkStack:
         ctx.clock.idle(resource.latency_ms * 1000.0)
 
         ciphertext = ctx.memory.alloc(f"tls:{resource.url}", region.size)
+        # Both regions have ``region.size`` cells; cell ``i`` of the
+        # ciphertext decrypts into cell ``i`` of the body.
+        wire_base, body_base = ciphertext.base, region.base
         with tracer.function("net::URLLoader::ReadBody"):
             offset = 0
-            chunk_index = 0
             while offset < region.size:
                 end = min(offset + _CELLS_PER_CHUNK, region.size)
                 wire_cells = ciphertext.cells(offset, end - offset)
                 tracer.syscall("recvfrom", writes=wire_cells)
-                # TLS record decryption: ciphertext -> plaintext body.
+                # TLS record decryption: ciphertext -> plaintext body, a
+                # pair of cells per record (the chunk's last may be one).
                 with tracer.function("net::SSLClientSocket::DoPayloadRead"):
                     for i in range(offset, end, 2):
-                        tracer.op(
-                            f"decrypt{(i - offset) % 16}",
-                            reads=ciphertext.cells(i, min(2, end - i)),
-                            writes=region.cells(i, min(2, end - i)),
-                        )
-                ctx.libc_memcpy(wire_cells[:1] + (region.cell(offset),), (region.cell(offset),), weight=1)
+                        wire, body = wire_base + i, body_base + i
+                        if i + 1 < end:
+                            reads, writes = (wire, wire + 1), (body, body + 1)
+                        else:
+                            reads, writes = (wire,), (body,)
+                        tracer.op(_DECRYPT_LABELS[(i - offset) % 16], reads, writes)
+                first = body_base + offset
+                ctx.libc_memcpy((wire_cells[0], first), (first,), weight=1)
                 offset = end
-                chunk_index += 1
             self.bytes_received += resource.size_bytes
             ctx.maybe_debug_event()
 

@@ -8,6 +8,10 @@ so it is checked against ``goldens/js_front_end.json`` instead: the
 digest of every corpus source's AST, generated with the parser that
 preceded the change.
 
+``collect_functions`` is the walk over every node's ``vars()`` that
+found a script's functions for byte coverage before the parser handed
+over the list it builds (``JSParser.functions``), kept verbatim.
+
 ``corpus()`` is what the front end must read alike: every registered
 workload's page, deferred and late scripts, the generator libraries
 under several parameters, and the scripts of ``random_page`` seeds.
@@ -105,6 +109,30 @@ def reference_tokenize(source: str) -> List[ReferenceToken]:
             raise JSLexError(f"unexpected character {ch!r} at offset {pos}")
     tokens.append(ReferenceToken("eof", "", n, n))
     return tokens
+
+
+def collect_functions(program: ast.Program) -> List[ast.FunctionExpr]:
+    """All function expressions/declarations in a program, any depth."""
+    found: List[ast.FunctionExpr] = []
+
+    def walk(node: object) -> None:
+        if isinstance(node, ast.FunctionExpr):
+            found.append(node)
+            for stmt in node.body:
+                walk(stmt)
+            return
+        if isinstance(node, ast.JSNode):
+            for value in vars(node).values():
+                walk(value)
+        elif isinstance(node, list):
+            for item in node:
+                walk(item)
+        elif isinstance(node, tuple):
+            for item in node:
+                walk(item)
+
+    walk(program)
+    return found
 
 
 def token_fields(tokens) -> list:

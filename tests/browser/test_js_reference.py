@@ -4,7 +4,9 @@ Tokens are compared with the per-character reference tokenizer
 (``js_reference.reference_tokenize``) on the corpus and on generated
 text; ASTs are compared with ``goldens/js_front_end.json``, the digest
 of each corpus source's tree (spans and relative node ids included) as
-the parser before the regex tokenizer built it.  Regenerate the golden
+the parser before the regex tokenizer built it.  The functions the
+parser lists for byte coverage are compared with the ``vars()`` walk that
+found them before (``js_reference.collect_functions``).  Regenerate the golden
 only after an intentional change to the parser or to a corpus source,
 with a parser checked some other way::
 
@@ -19,11 +21,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.browser.js.coverage import ScriptCoverage
 from repro.browser.js.lexer import JSLexError, tokenize_js
-from repro.browser.js.parser import parse_js
+from repro.browser.js.parser import JSParser, parse_js
 
 from .js_reference import (
     ast_digest,
+    collect_functions,
     corpus,
     node_ids,
     reference_tokenize,
@@ -80,6 +84,16 @@ def test_corpus_asts_equal_the_golden(sources):
         ids = node_ids(program)
         assert len(set(ids)) == len(ids), f"{name}: node ids repeat"
         assert ast_digest(program) == entry["ast_sha256"], name
+
+
+def test_parser_lists_the_functions_the_walk_finds(sources):
+    for name, source in sources.items():
+        parser = JSParser(source)
+        walked = collect_functions(parser.parse_program())
+        assert sorted(map(id, parser.functions)) == sorted(map(id, walked)), name
+        listed = ScriptCoverage(0, name, len(source))
+        listed.register_functions(parser.functions)
+        assert listed.function_spans == {f.node_id: f.span for f in walked}, name
 
 
 def test_tokens_are_immutable_and_answer_their_predicates():

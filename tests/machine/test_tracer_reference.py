@@ -161,22 +161,19 @@ def run_program(tracer, program):
     return readings
 
 
-def site_table(tracer, labels=True):
-    """The pc table in the order sites were first seen."""
-    if labels:
-        return list(tracer._sites.items())
-    return [(fn, pc) for (fn, _label), pc in tracer._sites.items()]
+def site_table(tracer):
+    """The pc table, labels included, in the order sites were first seen."""
+    return list(tracer._sites.items())
 
 
-def assert_same_run(tracer, reference, labels=True):
+def assert_same_run(tracer, reference):
     """Everything a finished run leaves, compared exactly.
 
-    JS emit-site labels name AST node ids, which count up across the
-    scripts a process parses; ``labels=False`` compares the pc table
-    without them for two engine runs in one process.
+    JS emit-site labels name AST node ids, which each engine numbers
+    from 1, so two engine runs in one process have the same labels.
     """
     assert tracer.store.records() == reference.store.records()
-    assert site_table(tracer, labels) == site_table(reference, labels)
+    assert site_table(tracer) == site_table(reference)
     assert list(tracer.symbols) == list(reference.symbols)
     assert tracer.store.metadata == reference.store.metadata
     clock, ref_clock = tracer.clock, reference.clock
@@ -333,5 +330,5 @@ def test_workload_runs_match_a_reference_tracer_run(name, monkeypatch):
     monkeypatch.setattr(context, "Tracer", ReferenceTracer)
     reference = WORKLOAD_RUNS[name]()
     assert type(reference.ctx.tracer) is ReferenceTracer
-    assert_same_run(engine.ctx.tracer, reference.ctx.tracer, labels=False)
+    assert_same_run(engine.ctx.tracer, reference.ctx.tracer)
     assert engine.frame_digests() == reference.frame_digests()
