@@ -11,7 +11,10 @@ edges.
 
 Program counters are stable per (function symbol, emit-site label): the same
 static instruction always executes at the same pc, which is what makes
-dynamic CFG construction (paper Section III-A) well-defined.
+dynamic CFG construction (paper Section III-A) well-defined.  The tracer
+also records that CFG as it emits: each distinct step from one pc to the
+next within a frame is written once into the store's
+:class:`~repro.trace.store.CFGSteps`, which the forward pass reads.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from ..trace.records import (
     new_record,
     sync_marker_tag,
 )
-from ..trace.store import TraceStore
+from ..trace.store import CFGSteps, TraceStore
 from ..trace.symbols import SymbolTable
 from .clock import VirtualClock
 from .registers import (
@@ -61,6 +64,9 @@ _OP, _CMP, _BRANCH = InstrKind.OP, InstrKind.CMP, InstrKind.BRANCH
 _CALL, _RET = InstrKind.CALL, InstrKind.RET
 _SYSCALL, _MARKER = InstrKind.SYSCALL, InstrKind.MARKER
 
+#: A step memo key: function, the previous pc in its frame (``None``
+#: before the frame's first record), and the emit's label argument.
+_StepKey = Tuple[int, Optional[int], str]
 #: ``leaf_call``'s memo entry: callee symbol, call pc, op pcs, ret pc.
 _LeafSites = Tuple[int, int, Tuple[int, ...], int]
 
@@ -97,6 +103,20 @@ class Tracer:
     record).  The steps are written out in each method rather than shared
     through a helper, because they run once per traced instruction.
 
+    Each emit also records the dynamic CFG (paper Section III-A) into
+    the store's :class:`~repro.trace.store.CFGSteps`.  Beside each
+    thread's call stack the tracer keeps the last pc of every open
+    frame, and an emit method looks up its pcs in a memo keyed by the
+    step: ``(fn, previous pc in the frame, label)``.  A hit costs about
+    what a ``(fn, label)`` lookup does; a miss is exactly a step the
+    trace has not taken before, so the method takes the pc from
+    ``_pc`` (pcs are still assigned in first-use order) and records the
+    ``(fn, previous pc, pc)`` step, plus the branch pc of a BRANCH or
+    the return site of a RET.  The forward pass then reads each
+    distinct step once instead of walking every record.  A new emit
+    method must do the same, or ``tests/profiler/test_cfg_differential.py``
+    fails.
+
     No emit method touches the clock.  The clock counts this tracer's
     record list (:meth:`VirtualClock.count_records`): each record
     appended is one instruction of the thread :meth:`switch` last
@@ -107,6 +127,9 @@ class Tracer:
     labels cycle through a tuple).  They memoize their pcs, and fill the
     memos through ``_pc`` in the order the one-record emits would first
     see the sites, so a trace does not show which way it was emitted.
+    ``leaf_call`` records the caller's step through its memo and the
+    callee's fixed steps on a miss; ``accumulate`` records its entry
+    step on every run and its label cycle as far as its longest run.
     """
 
     def __init__(
@@ -119,24 +142,42 @@ class Tracer:
         self.store = TraceStore(self.symbols, TraceMetadata())
         #: the store's record list: emits append to it directly
         self._records = self.store.records()
+        #: the pc table: (fn, label) -> pc
         self._sites: Dict[Tuple[int, str], int] = {}
         self._site_counts: Dict[int, int] = {}
-        #: per-call memos of ``_pc`` for the emit methods whose site label
-        #: is derived from their argument: (fn, label) -> (cmp pc, branch
-        #: pc), (fn, syscall name) -> pc and (fn, marker tag) -> pc
-        self._branch_sites: Dict[Tuple[int, str], Tuple[int, int]] = {}
-        self._syscall_sites: Dict[Tuple[int, str], int] = {}
-        self._marker_sites: Dict[Tuple[int, str], int] = {}
-        #: (caller, function, labels) -> (callee, call pc, op pcs, ret pc)
-        #: for ``leaf_call``; (fn, labels) -> the pcs of the labels used so
-        #: far, in order, for ``accumulate``
-        self._leaf_sites: Dict[Tuple[int, str, Tuple[str, ...]], _LeafSites] = {}
+        #: the CFG the emits record, carried by the store; the tracer
+        #: writes into its containers directly
+        cfg = self.store.cfg_steps = CFGSteps()
+        self._steps = cfg.steps
+        self._branches = cfg.branches
+        self._returns = cfg.returns
+        #: the step-keyed memos (a miss records the step): (fn, previous
+        #: pc, label) -> pc for ``op`` and ``call``, (fn, previous pc) ->
+        #: pc for ``ret``, (fn, previous pc, label) -> (cmp pc, branch pc)
+        #: for ``compare_and_branch``, (fn, previous pc, syscall name) ->
+        #: pc and (fn, previous pc, marker tag) -> pc
+        self._op_steps: Dict[_StepKey, int] = {}
+        self._ret_steps: Dict[Tuple[int, Optional[int]], int] = {}
+        self._branch_steps: Dict[_StepKey, Tuple[int, int]] = {}
+        self._syscall_steps: Dict[_StepKey, int] = {}
+        self._marker_steps: Dict[_StepKey, int] = {}
+        #: (caller, previous pc, function, labels) -> (callee, call pc,
+        #: op pcs, ret pc) for ``leaf_call``; (fn, labels) -> the pcs of
+        #: the labels used so far, in order, for ``accumulate``
+        self._leaf_steps: Dict[
+            Tuple[int, Optional[int], str, Tuple[str, ...]], _LeafSites
+        ] = {}
         self._run_sites: Dict[Tuple[int, Tuple[str, ...]], List[int]] = {}
         #: tid -> call stack of function symbol ids (root frame first)
-        self._stacks: Dict[int, List[int]] = {}
+        self._stacks = cfg.stacks
+        #: tid -> the last pc of each frame of its call stack (``None``
+        #: until the frame's first record)
+        self._last_pcs = cfg.last_pcs
         self._tid: Optional[int] = None
-        #: the current thread's call stack (``_stacks[_tid]``)
+        #: the current thread's call stack (``_stacks[_tid]``) and last
+        #: pcs (``_last_pcs[_tid]``)
         self._stack: List[int] = []
+        self._last: List[Optional[int]] = []
         self.clock.count_records(self._records)
 
     # ------------------------------------------------------------------ #
@@ -148,6 +189,7 @@ class Tracer:
         if tid in self._stacks:
             raise ValueError(f"thread {tid} already exists")
         self._stacks[tid] = [self.symbols.intern(root_function)]
+        self._last_pcs[tid] = [None]
         self.store.metadata.thread_names[tid] = name
         if self._tid is None:
             self.switch(tid)
@@ -160,6 +202,7 @@ class Tracer:
         self.clock.switch(tid)
         self._tid = tid
         self._stack = stack
+        self._last = self._last_pcs[tid]
 
     @property
     def current_tid(self) -> int:
@@ -191,6 +234,15 @@ class Tracer:
             self._sites[key] = pc
         return pc
 
+    def _step(self, fn: int, prev: Optional[int], label: str) -> int:
+        """The pc of ``label`` in ``fn``; records the step to it from ``prev``.
+
+        The miss path of the step-keyed memos.
+        """
+        pc = self._pc(fn, label)
+        self._steps[fn, prev, pc] = None
+        return pc
+
     def pc_of(self, function: str, label: str) -> Optional[int]:
         """Look up the pc of an already-observed emit site (diagnostics)."""
         fn = self.symbols.lookup(function)
@@ -215,9 +267,12 @@ class Tracer:
         if tid is None:
             raise RuntimeError(_NO_THREAD)
         fn = self._stack[-1]
-        pc = self._sites.get((fn, label))
+        last = self._last
+        key = (fn, last[-1], label)
+        pc = self._op_steps.get(key)
         if pc is None:
-            pc = self._pc(fn, label)
+            pc = self._op_steps[key] = self._step(fn, key[1], label)
+        last[-1] = pc
         records = self._records
         records.append(
             new_record(
@@ -238,13 +293,16 @@ class Tracer:
         if tid is None:
             raise RuntimeError(_NO_THREAD)
         fn = self._stack[-1]
-        pcs = self._branch_sites.get((fn, label))
+        last = self._last
+        key = (fn, last[-1], label)
+        pcs = self._branch_steps.get(key)
         if pcs is None:
-            pcs = self._branch_sites[fn, label] = (
-                self._pc(fn, label + "$cmp"),
-                self._pc(fn, label + "$br"),
-            )
+            cmp_pc = self._step(fn, key[1], label + "$cmp")
+            br_pc = self._step(fn, cmp_pc, label + "$br")
+            self._branches.add((fn, br_pc))
+            pcs = self._branch_steps[key] = (cmp_pc, br_pc)
         cmp_pc, br_pc = pcs
+        last[-1] = br_pc
         records = self._records
         records.append(new_record(tid, cmp_pc, _CMP, fn, NO_REGS, _FLAGS_ONLY, tuple(reads)))
         records.append(new_record(tid, br_pc, _BRANCH, fn, _FLAGS_ONLY))
@@ -261,11 +319,15 @@ class Tracer:
         caller = self._stack[-1]
         callee = self.symbols.intern(function)
         label = site if site is not None else f"call:{function}"
-        pc = self._sites.get((caller, label))
+        last = self._last
+        key = (caller, last[-1], label)
+        pc = self._op_steps.get(key)
         if pc is None:
-            pc = self._pc(caller, label)
+            pc = self._op_steps[key] = self._step(caller, key[1], label)
+        last[-1] = pc
         self._records.append(new_record(tid, pc, _CALL, caller))
         self._stack.append(callee)
+        last.append(None)
 
     def ret(self) -> None:
         """Emit a RET in the current function and pop it."""
@@ -276,11 +338,15 @@ class Tracer:
         if len(stack) <= 1:
             raise RuntimeError(f"thread {tid}: return from root frame")
         fn = stack[-1]
-        pc = self._sites.get((fn, "$ret"))
+        last = self._last
+        key = (fn, last[-1])
+        pc = self._ret_steps.get(key)
         if pc is None:
-            pc = self._pc(fn, "$ret")
+            pc = self._ret_steps[key] = self._step(fn, key[1], "$ret")
+            self._returns.add((fn, pc))
         self._records.append(new_record(tid, pc, _RET, fn))
         stack.pop()
+        last.pop()
 
     def function(self, name: str, site: Optional[str] = None) -> _Invocation:
         """Context manager bracketing a function invocation."""
@@ -300,22 +366,34 @@ class Tracer:
         whose OPs all share their operands.  Callers keep one ``labels``
         tuple per shape rather than build it per call (the
         ``EngineContext`` helpers cache theirs).
+
+        A memo miss records the caller's step to the CALL and every
+        step of the callee's fixed shape (its entry, the chain of OPs,
+        the RET and its return site); those are already recorded when
+        the shape was met from another step, and recording them again
+        changes nothing.
         """
         tid = self._tid
         if tid is None:
             raise RuntimeError(_NO_THREAD)
         caller = self._stack[-1]
-        key = (caller, function, labels)
-        sites = self._leaf_sites.get(key)
+        last = self._last
+        key = (caller, last[-1], function, labels)
+        sites = self._leaf_steps.get(key)
         if sites is None:
             callee = self.symbols.intern(function)
-            sites = self._leaf_sites[key] = (
-                callee,
-                self._pc(caller, f"call:{function}"),
-                tuple([self._pc(callee, label) for label in labels]),
-                self._pc(callee, "$ret"),
-            )
+            call_pc = self._step(caller, key[1], f"call:{function}")
+            pcs = tuple([self._pc(callee, label) for label in labels])
+            ret_pc = self._pc(callee, "$ret")
+            steps = self._steps
+            src = None
+            for pc in pcs + (ret_pc,):
+                steps[callee, src, pc] = None
+                src = pc
+            self._returns.add((callee, ret_pc))
+            sites = self._leaf_steps[key] = (callee, call_pc, pcs, ret_pc)
         callee, call_pc, pcs, ret_pc = sites
+        last[-1] = call_pc
         reads = tuple(reads)
         writes = tuple(writes)
         append = self._records.append
@@ -330,7 +408,9 @@ class Tracer:
         The records of ``self.op(labels[i % len(labels)], reads=(cell,
         acc), writes=(acc,))`` for the ``i``-th of ``cells``, in order.
         Only the labels a run reaches get a pc, as the loop would give
-        them.
+        them.  Every run records its entry step; the steps between
+        labels, the wrap from the last label to the first included, are
+        recorded as far as the longest run so far reaches.
         """
         tid = self._tid
         if tid is None:
@@ -340,8 +420,19 @@ class Tracer:
         if pcs is None:
             pcs = self._run_sites[fn, labels] = []
         count = len(cells)
-        if len(pcs) < count and len(pcs) < len(labels):
-            pcs.extend([self._pc(fn, label) for label in labels[len(pcs):count]])
+        if not count:
+            return
+        known = len(pcs)
+        if known < count and known < len(labels):
+            pcs.extend([self._pc(fn, label) for label in labels[known:count]])
+        steps = self._steps
+        last = self._last
+        steps[fn, last[-1], pcs[0]] = None
+        for i in range(max(known, 1), len(pcs)):
+            steps[fn, pcs[i - 1], pcs[i]] = None
+        if count > len(pcs):
+            steps[fn, pcs[-1], pcs[0]] = None
+        last[-1] = pcs[(count - 1) % len(pcs)]
         writes = (acc,)
         append = self._records.append
         for pc, cell in zip(cycle(pcs), cells):
@@ -368,9 +459,12 @@ class Tracer:
         if tid is None:
             raise RuntimeError(_NO_THREAD)
         fn = self._stack[-1]
-        pc = self._syscall_sites.get((fn, name))
+        last = self._last
+        key = (fn, last[-1], name)
+        pc = self._syscall_steps.get(key)
         if pc is None:
-            pc = self._syscall_sites[fn, name] = self._pc(fn, f"syscall:{name}")
+            pc = self._syscall_steps[key] = self._step(fn, key[1], f"syscall:{name}")
+        last[-1] = pc
         records = self._records
         records.append(
             new_record(
@@ -392,9 +486,12 @@ class Tracer:
         if tid is None:
             raise RuntimeError(_NO_THREAD)
         fn = self._stack[-1]
-        pc = self._marker_sites.get((fn, tag))
+        last = self._last
+        key = (fn, last[-1], tag)
+        pc = self._marker_steps.get(key)
         if pc is None:
-            pc = self._marker_sites[fn, tag] = self._pc(fn, f"marker:{tag}")
+            pc = self._marker_steps[key] = self._step(fn, key[1], f"marker:{tag}")
+        last[-1] = pc
         cells = tuple(cells)
         records = self._records
         records.append(

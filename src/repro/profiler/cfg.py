@@ -7,15 +7,22 @@ identified by matching CALL and RETURN instructions; building CFGs from the
 be derived statically.  Every CFG gets a virtual EXIT node fed by all
 observed exit points (return sites, plus the last observed pc of frames that
 were still live when trace collection stopped).
+
+The CFGs are assembled from the distinct ``(fn, previous pc, pc)`` steps of
+the trace (:meth:`DynamicCFGBuilder.add_steps`).  A fresh trace's steps are
+the ones its tracer recorded as it emitted (``TraceStore.cfg_steps``); every
+other trace source walks its control columns to collect them
+(:meth:`DynamicCFGBuilder.feed_columns`).
 """
 
 from __future__ import annotations
 
 import collections.abc
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..trace.records import InstrKind, TraceRecord
-from ..trace.store import record_columns
+from ..trace.store import TraceStore, record_columns
 
 #: Virtual exit node id, shared by every function CFG.  Real pcs are
 #: positive (pc = (fn + 1) * FN_SPAN + site), so -1 can never collide.
@@ -109,9 +116,9 @@ class DynamicCFGBuilder:
         One loop applies the frame rules and collects each distinct
         ``(fn, previous pc, pc)`` step in first-seen order (previous pc
         ``None`` for an entry); only then do the distinct steps, branch
-        pcs and return sites touch the :class:`FunctionCFG` sets.  Every
-        record belongs to the frame of its own ``fn``, so ``fn`` names the
-        CFG of each step.
+        pcs and return sites go to :meth:`add_steps`.  Every record
+        belongs to the frame of its own ``fn``, so ``fn`` names the CFG
+        of each step.
         """
         stacks = self._stacks
         steps: Dict[Tuple[int, Optional[int], int], None] = {}
@@ -147,7 +154,23 @@ class DynamicCFGBuilder:
             elif kind == _RET:
                 returns.add((fn, pc))
                 stack.pop()
+        self.add_steps(steps, branches, returns)
 
+    def add_steps(
+        self,
+        steps: Iterable[Tuple[int, Optional[int], int]],
+        branches: Iterable[Tuple[int, int]],
+        exits: Iterable[Tuple[int, int]],
+    ) -> None:
+        """Add distinct steps, branch pcs and exit points to the CFGs.
+
+        ``steps`` are ``(fn, previous pc, pc)`` in first-seen order
+        (previous pc ``None`` for an entry), which fixes node order;
+        ``branches`` and ``exits`` are ``(fn, pc)`` pairs of functions
+        that have a step.  :meth:`feed_columns` collects its steps from
+        the records; a tracer records them as it emits
+        (:class:`~repro.trace.store.CFGSteps`).
+        """
         cfgs = self._cfgs
         for fn, src, dst in steps:
             cfg = cfgs.get(fn)
@@ -161,7 +184,7 @@ class DynamicCFGBuilder:
                 cfg.preds[dst].add(src)
         for fn, pc in branches:
             cfgs[fn].branch_pcs.add(pc)
-        for fn, pc in returns:
+        for fn, pc in exits:
             cfgs[fn].exits.add(pc)
 
     def feed(self, record: TraceRecord) -> None:
@@ -187,17 +210,25 @@ class DynamicCFGBuilder:
 def build_cfgs(trace) -> Dict[int, FunctionCFG]:
     """Build all function CFGs of a trace.
 
-    A trace (a row store or a
-    :class:`~repro.trace.columnar.ColumnarTrace`) feeds the builder its
-    ``control_columns()``, so a columnar trace builds no record object; a
-    bare list, tuple or iterator of records is read attribute by
+    A row store that carries the CFG steps its tracer recorded
+    (``TraceStore.cfg_steps``) hands them to the builder as they are,
+    with the last pc of every frame still open as an exit; no record is
+    read.  Every other trace walks its columns: a row store or a
+    :class:`~repro.trace.columnar.ColumnarTrace` feeds the builder its
+    ``control_columns()``, so a columnar trace builds no record object,
+    and a bare list, tuple or iterator of records is read attribute by
     attribute.
     """
-    columns = (
-        record_columns(trace)
-        if isinstance(trace, (list, tuple, collections.abc.Iterator))
-        else trace.control_columns()
-    )
     builder = DynamicCFGBuilder()
-    builder.feed_columns(*columns)
+    carried = trace.cfg_steps if isinstance(trace, TraceStore) else None
+    if carried is not None:
+        builder.add_steps(
+            carried.steps,
+            carried.branches,
+            chain(carried.returns, carried.open_frames()),
+        )
+    elif isinstance(trace, (list, tuple, collections.abc.Iterator)):
+        builder.feed_columns(*record_columns(trace))
+    else:
+        builder.feed_columns(*trace.control_columns())
     return builder.finish()

@@ -33,6 +33,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Set,
     Tuple,
     Union,
 )
@@ -67,8 +68,46 @@ class TraceSource(Protocol):
     def forward(self) -> Iterator[TraceRecord]: ...
 
 
+class CFGSteps:
+    """The dynamic CFG of a trace, as its tracer recorded it while emitting.
+
+    ``steps`` holds each distinct ``(fn, previous pc, pc)`` step of the
+    trace once, in first-seen order (previous pc ``None`` for the first
+    record of a frame); ``branches`` and ``returns`` hold the ``(fn,
+    pc)`` of every BRANCH and RET.  That is the form
+    :meth:`repro.profiler.cfg.DynamicCFGBuilder.feed_columns` builds
+    from the records.  ``stacks`` maps each thread to the function of
+    each of its open frames (root frame first), and ``last_pcs`` to the
+    last pc of each of those frames, ``None`` before a frame's first
+    record.
+    """
+
+    __slots__ = ("steps", "branches", "returns", "stacks", "last_pcs")
+
+    def __init__(self) -> None:
+        self.steps: Dict[Tuple[int, Optional[int], int], None] = {}
+        self.branches: Set[Tuple[int, int]] = set()
+        self.returns: Set[Tuple[int, int]] = set()
+        self.stacks: Dict[int, List[int]] = {}
+        self.last_pcs: Dict[int, List[Optional[int]]] = {}
+
+    def open_frames(self) -> Iterator[Tuple[int, int]]:
+        """``(fn, last pc)`` of every open frame that has run a record."""
+        for tid, stack in self.stacks.items():
+            for fn, pc in zip(stack, self.last_pcs[tid]):
+                if pc is not None:
+                    yield fn, pc
+
+
 class TraceStore:
-    """An in-memory instruction trace with its symbol table and metadata."""
+    """An in-memory instruction trace with its symbol table and metadata.
+
+    A store made by a :class:`~repro.machine.tracer.Tracer` also carries
+    the CFG steps the tracer recorded as it emitted (``cfg_steps``), so
+    the forward pass reads those instead of walking every record.  Any
+    other store, and one that had records added through :meth:`append`
+    or :meth:`extend`, carries none.
+    """
 
     def __init__(
         self, symbols: SymbolTable, metadata: Optional[TraceMetadata] = None
@@ -76,6 +115,7 @@ class TraceStore:
         self.symbols = symbols
         self.metadata = metadata if metadata is not None else TraceMetadata()
         self._records: List[TraceRecord] = []
+        self.cfg_steps: Optional[CFGSteps] = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -84,11 +124,18 @@ class TraceStore:
         return self._records[idx]
 
     def append(self, record: TraceRecord) -> int:
-        """Append a record, returning its index in the trace."""
+        """Append a record, returning its index in the trace.
+
+        The record did not come through a tracer's emits, so the store
+        drops any carried CFG steps.
+        """
+        self.cfg_steps = None
         self._records.append(record)
         return len(self._records) - 1
 
     def extend(self, records: Iterable[TraceRecord]) -> None:
+        """Append records (dropping any carried CFG steps, as :meth:`append`)."""
+        self.cfg_steps = None
         self._records.extend(records)
 
     def forward(self) -> Iterator[TraceRecord]:
@@ -103,7 +150,9 @@ class TraceStore:
         """Direct access to the underlying record list.
 
         Read-only use, except by the :class:`~repro.machine.tracer.Tracer`
-        that owns the store: it appends its records here directly.
+        that owns the store: it appends its records here directly, and
+        records their CFG steps in ``cfg_steps`` as it does.  Anyone else
+        adds records through :meth:`append` or :meth:`extend`.
         """
         return self._records
 

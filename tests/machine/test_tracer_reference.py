@@ -16,7 +16,10 @@ emits, busy totals and Figure 2 series:
 * a helper shape first used from two callers, in either order, a
   ``plain_bulk`` whose labels wrap, and a zero-weight helper;
 * whole workload runs (ticker, bing, ``random_page(0)``) through an
-  engine whose context builds a reference tracer.
+  engine whose context builds a reference tracer.  These also check
+  the CFG steps the tracer recorded as it emitted: ``build_cfgs`` of
+  the ``Tracer`` run, which reads them, equals the column walk over the
+  reference run's records, whose store carries no steps.
 """
 
 import math
@@ -30,10 +33,12 @@ from repro.harness.experiments import cached_run, run_engine
 from repro.machine import Tracer
 from repro.machine.clock import VirtualClock
 from repro.machine.tracer import LOAD_COMPLETE_MARKER, TILE_MARKER
+from repro.profiler.cfg import build_cfgs
 from repro.trace.records import InstrKind
 from repro.workloads import benchmark
 from repro.workloads.fuzz import random_page
 
+from ..profiler.test_cfg_differential import cfg_view
 from .tracer_reference import ReferenceTracer
 
 INSTR_COSTS = (30.0, 0.7, 33.3)
@@ -332,3 +337,6 @@ def test_workload_runs_match_a_reference_tracer_run(name, monkeypatch):
     assert type(reference.ctx.tracer) is ReferenceTracer
     assert_same_run(engine.ctx.tracer, reference.ctx.tracer)
     assert engine.frame_digests() == reference.frame_digests()
+    store, ref_store = engine.trace_store(), reference.trace_store()
+    assert store.cfg_steps is not None and ref_store.cfg_steps is None
+    assert cfg_view(build_cfgs(store)) == cfg_view(build_cfgs(ref_store))

@@ -11,11 +11,17 @@ they replace.  ``test_tracer_reference.py`` checks that ``Tracer``
 emits equal records, pcs and symbols and leaves an equal clock.  Kept
 as it was, the way ``tests/profiler/epoch_reference.py`` keeps the
 per-record backward walk.
+
+Its emits look their pcs up by ``(fn, label)``, in the per-method memos
+``_branch_sites``, ``_syscall_sites`` and ``_marker_sites`` it makes
+for itself (``Tracer``'s memos are keyed by the CFG step), and record
+no CFG steps, so its store carries none: the forward pass walks its
+records' columns.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.machine.clock import VirtualClock
 from repro.machine.registers import SYSCALL_ARG_REGISTERS, SYSCALL_RESULT_REGISTERS
@@ -50,6 +56,10 @@ class ReferenceTracer(Tracer):
         # give it a spare one, and keep the real one for explicit ticks.
         super().__init__(symbols, VirtualClock())
         self.clock = clock if clock is not None else VirtualClock()
+        self._branch_sites: Dict[Tuple[int, str], Tuple[int, int]] = {}
+        self._syscall_sites: Dict[Tuple[int, str], int] = {}
+        self._marker_sites: Dict[Tuple[int, str], int] = {}
+        self.store.cfg_steps = None
 
     def switch(self, tid: int) -> None:
         """Make ``tid`` the currently executing thread."""
